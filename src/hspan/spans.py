@@ -105,11 +105,13 @@ def hadamard_span(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
 
 def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig,
                          column_budget: int = ORACLE_COLUMN_BUDGET) -> Subspace:
-    """Brute-force span: orthogonalize all n^k basis-combination products.
+    """Brute-force span of all n^k basis-combination products.
 
-    Column i1..ik of the assembled matrix is (B_1 e_{i1}) o ... o (B_k e_{ik});
-    multilinearity in each slot makes these products span the whole family.
-    Never touches G, so it is an independent check of hadamard_span.
+    Column i1..ik of the assembled n x n^k matrix H is
+    (B_1 e_{i1}) o ... o (B_k e_{ik}); multilinearity in each slot makes
+    these products span the whole family. range_basis rank-reveals H through
+    the n x n factor R^T of H^T = Q R, so no n^k-long factor is built.
+    Never touches G = H H*, so it is an independent check of hadamard_span.
     """
     n, k = family.n, family.k
     if n**k > column_budget:

@@ -2,10 +2,12 @@
 
 A subspace of C^n is carried as an orthonormal basis, produced by a
 rank-revealing SVD with a spectral-relative threshold: singular values above
-rank_rel_tol * max(rows, cols) * sigma_1 count toward the rank. Distances,
-containment and equality are all phrased through orthogonal projectors
-P = Q Q*, which makes every downstream check independent of the particular
-basis chosen.
+rank_rel_tol * max(rows, cols) * sigma_1 count toward the rank. A wide n x m
+matrix is first reduced to an n x n factor with the same singular values and
+range, so no m-long factor is built; its cutoff still uses max(n, m).
+Distances, containment and equality are all phrased through orthogonal
+projectors P = Q Q*, which makes every downstream check independent of the
+particular basis chosen.
 """
 
 from __future__ import annotations
@@ -90,12 +92,18 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
-    """Orthonormal basis of the column space of A under cfg's rank policy."""
+    """Orthonormal basis of the column space of A under cfg's rank policy.
+
+    A wide A is rank-revealed through R^T, where A^T = Q R: A = R^T Q^T and
+    Q^T has orthonormal rows, so A and the n x n matrix R^T share singular
+    values and left singular vectors, and Q is never formed.
+    """
     a = as_matrix(a, "A")
-    n = a.shape[0]
-    if a.shape[1] == 0:
+    n, cols = a.shape
+    if cols == 0:
         return Subspace(np.zeros((n, 0), dtype=np.complex128), 0.0)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    reduced = np.linalg.qr(a.T, mode="r").T if cols > n else a
+    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
     if s[0] == 0.0:
         return Subspace(np.zeros((n, 0), dtype=np.complex128), 0.0)
     cutoff = cfg.rank_rel_tol * max(a.shape) * s[0]

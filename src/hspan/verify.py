@@ -95,7 +95,10 @@ def column_identity_residual(family: MatrixFamily) -> float:
     rebuilds each column from per-matrix matvecs and never forms a Gram
     matrix.
     """
-    g = gram_hadamard(family)
+    return _column_identity(family, gram_hadamard(family))
+
+
+def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
     denom = max(1.0, frobenius_norm(g))
     n = family.n
     worst = 0.0
@@ -243,7 +246,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     checks: dict[str, bool] = {}
     skipped: list[str] = []
 
-    column_res = column_identity_residual(bfam)
+    column_res = _column_identity(bfam, g)
     checks["column_identity"] = column_res <= COLUMN_IDENTITY_TOL
 
     tensor_norm_sq = None

@@ -102,6 +102,17 @@ def test_hadamard_span_matches_oracle_with_rank_deficient_member():
     assert d <= 1e-8
 
 
+@pytest.mark.parametrize("fam, rank", [
+    (gaussian_family(4, 6, 8), 4),
+    (MatrixFamily([b @ np.diag(np.r_[1.0, 1.0, np.zeros(14)])
+                   for b in gaussian_family(16, 3, 9)]), 8),
+], ids=["4x6", "16x3-deficient"])
+def test_oracle_matches_hadamard_span_on_wide_oracle_matrix(fam, rank):
+    span, oracle = hadamard_span(fam, CFG), basis_product_oracle(fam, CFG)
+    assert oracle.rank == span.rank == rank
+    assert subspace_distance(span, oracle) <= 1e-8
+
+
 def test_oracle_single_matrix_is_its_range():
     rng = np.random.default_rng(5)
     b = complex_gaussian(rng, 5, 5)

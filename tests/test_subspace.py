@@ -115,6 +115,51 @@ def test_range_basis_cutoff_recorded():
     assert s.tol_used == pytest.approx(1e-10 * 3)
 
 
+def svd_reference(a, cfg):
+    """Rank, cutoff and basis from the thin SVD of A itself."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    cutoff = cfg.rank_rel_tol * max(a.shape) * s[0]
+    r = int(np.count_nonzero(s > cutoff))
+    return r, cutoff, Subspace(u[:, :r], cutoff)
+
+
+def face_split(mats):
+    n = mats[0].shape[0]
+    h = mats[0]
+    for b in mats[1:]:
+        h = (h[:, :, None] * b[:, None, :]).reshape(n, -1)
+    return h
+
+
+def wide_cases():
+    rng = np.random.default_rng(14)
+    yield complex_gaussian(rng, 5, 40)
+    yield complex_gaussian(rng, 12, 13)
+    for n, r, m in ((8, 3, 200), (16, 9, 1000), (6, 1, 7)):
+        yield complex_gaussian(rng, n, r) @ complex_gaussian(rng, r, m)
+    low = complex_gaussian(rng, 16, 5) @ complex_gaussian(rng, 5, 16)
+    yield face_split([low, complex_gaussian(rng, 16, 16), complex_gaussian(rng, 16, 16)])
+    yield face_split([complex_gaussian(rng, 16, 16), complex_gaussian(rng, 16, 16),
+                      complex_gaussian(rng, 16, 16)])
+    yield complex_gaussian(rng, 1, 9)
+
+
+@pytest.mark.parametrize("a", list(wide_cases()), ids=lambda a: "x".join(map(str, a.shape)))
+def test_range_basis_wide_matches_direct_svd(a):
+    rank, cutoff, ref = svd_reference(a, CFG)
+    s = range_basis(a, CFG)
+    assert s.rank == rank
+    assert s.tol_used == pytest.approx(cutoff, rel=1e-12)
+    assert subspace_distance(s, ref) <= 1e-12
+
+
+def test_range_basis_wide_zero_matrix():
+    s = range_basis(np.zeros((3, 50)), CFG)
+    assert s.rank == 0
+    assert s.basis.shape == (3, 0)
+    assert s.tol_used == 0.0
+
+
 def test_projector_full_and_split():
     full = range_basis(np.eye(2), CFG)
     np.testing.assert_allclose(projector(full), np.eye(2), atol=1e-15)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import families
+import hspan.verify as hv
 from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    PsdFamily, ToleranceConfig, column_identity_residual,
                    family_scale, norm_trace_identity, orthogonality_check,
@@ -42,6 +43,15 @@ def test_column_identity_small_on_random():
     for _ in range(10):
         fam = MatrixFamily([complex_gaussian(rng, 6, 6) for _ in range(3)])
         assert column_identity_residual(fam) <= 1e-13
+
+
+def test_verify_all_builds_gram_once_and_keeps_column_residual(monkeypatch):
+    fam = deficient_family(6, 3, 3)
+    expected = column_identity_residual(fam)
+    builds, gram = [], hv.gram_hadamard
+    monkeypatch.setattr(hv, "gram_hadamard", lambda f: builds.append(f) or gram(f))
+    assert verify_all(fam, CFG).column_identity_residual == expected
+    assert len(builds) == 1
 
 
 def test_tensor_witness_zero_for_full_range():
