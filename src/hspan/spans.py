@@ -103,6 +103,20 @@ def hadamard_span(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
     return range_basis(gram_hadamard(family), cfg)
 
 
+def _face_split(mats) -> np.ndarray:
+    """Face-splitting (row-wise Kronecker) product of n x n matrices.
+
+    Row i of the n x n^k result is mats[0][i, :] (x) ... (x) mats[-1][i, :],
+    so column i1..ik is (M_1 e_{i1}) o ... o (M_k e_{ik}) and, for the
+    family B_1 .. B_k, H H* = G.
+    """
+    n = mats[0].shape[0]
+    h = mats[0]
+    for b in mats[1:]:
+        h = (h[:, :, None] * b[:, None, :]).reshape(n, -1)
+    return h
+
+
 def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig,
                          column_budget: int = ORACLE_COLUMN_BUDGET) -> Subspace:
     """Brute-force span of all n^k basis-combination products.
@@ -116,10 +130,7 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig,
     n, k = family.n, family.k
     if n**k > column_budget:
         raise BudgetExceededError(f"oracle needs n^k = {n**k} columns, budget is {column_budget}")
-    h = family[0]
-    for b in family.matrices[1:]:
-        h = (h[:, :, None] * b[:, None, :]).reshape(n, -1)
-    return range_basis(h, cfg)
+    return range_basis(_face_split(family.matrices), cfg)
 
 
 def random_sample_span(family: MatrixFamily, samples: int, cfg: ToleranceConfig) -> Subspace:

@@ -7,18 +7,22 @@ and E = I - Q Q* for the projector onto its orthogonal complement:
 * column identity: the i-th column of G is (B_1 B_1* e_i) o ... o (B_k B_k* e_i),
   which places every column of G inside the span of the product family;
 * tensor witness: T = sum_i (B_1* e_i) (x) ... (x) (B_k* e_i) (x) (conj(E) e_i)
-  collects the other inclusion into a single vector;
+  collects the other inclusion into a single vector. Reshaped row-major to
+  n^k x n it is (E H)*, with H the n x n^k face-splitting matrix whose row i
+  is B_1[i, :] (x) ... (x) B_k[i, :], so it is assembled by one matrix
+  product from the B_j and E, independently of G;
 * norm-trace identity: ||T||^2 = trace(E G), which vanishes because E
   annihilates range(G);
 * pairing identity: <(B_1 x_1) o ... o (B_k x_k), E y> =
-  <x_1 (x) ... (x) x_k (x) conj(y), T>, so T = 0 forces every family member
-  to be orthogonal to the complement of range(G).
+  <x_1 (x) ... (x) x_k (x) conj(y), T>, which holds for every Hermitian E,
+  so T = 0 forces every family member to be orthogonal to the complement of
+  range(G).
 
 Each identity is evaluated with its two sides computed through disjoint
-operation chains (direct summation against matrix products, per-column
-matvecs against a full multiply), so a bug in one kernel cannot certify
-itself. Residuals are normalized by scale = prod_i ||B_i||_F and the vector
-norms involved, and judged against the module tolerances below: exact
+operation chains (the face-splitting product against the Gram matrix,
+per-column matvecs against a full multiply), so a bug in one kernel cannot
+certify itself. Residuals are normalized by scale = prod_i ||B_i||_F and the
+vector norms involved, and judged against the module tolerances below: exact
 algebraic identities at 1e-13 or 1e-12, identities that pass through a rank
 decision at 1e-7 or 1e-8.
 """
@@ -31,10 +35,10 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionError
-from .matrixops import frobenius_norm, hadamard, inner, matmul, tensor_vec, trace
+from .matrixops import frobenius_norm, hadamard, inner, matmul, trace
 from .rng import STREAM_ORTHO, STREAM_PAIRING, complex_gaussian, seed_children
-from .spans import (MatrixFamily, PsdFamily, gram_hadamard, psd_hadamard_span,
-                    psd_sqrt)
+from .spans import (MatrixFamily, PsdFamily, _face_split, gram_hadamard,
+                    psd_hadamard_span, psd_sqrt)
 from .subspace import (ToleranceConfig, complement_projector, range_basis,
                        subspace_distance)
 
@@ -116,16 +120,15 @@ def _complement(family: MatrixFamily, cfg: ToleranceConfig):
 
 
 def _tensor_from(family: MatrixFamily, e: np.ndarray) -> np.ndarray:
-    """T = sum_i (B_1* e_i) (x) ... (x) (B_k* e_i) (x) (conj(E) e_i)."""
-    n = family.n
-    adjoints = [b.conj().T for b in family]
-    e_bar = np.conj(e)
-    t = np.zeros(n ** (family.k + 1), dtype=np.complex128)
-    for i in range(n):
-        factors = [adj[:, i] for adj in adjoints]
-        factors.append(e_bar[:, i])
-        t += reduce(tensor_vec, factors)
-    return t
+    """T = sum_i (B_1* e_i) (x) ... (x) (B_k* e_i) (x) (conj(E) e_i).
+
+    B_j* e_i is conj(B_j[i, :]), so T reshaped row-major to n^k x n is
+    conj(H)^T conj(E)^T = (E H)*, with H the face-splitting matrix of the
+    family (row i is B_1[i, :] (x) ... (x) B_k[i, :]); hence
+    ||T||^2 = ||E H||_F^2. H is built from the B_j, never from G.
+    """
+    h_bar = _face_split([b.conj() for b in family])
+    return (h_bar.T @ np.conj(e).T).reshape(-1)
 
 
 def _require_tensor_budget(family: MatrixFamily, entry_budget: int):
@@ -152,17 +155,28 @@ def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig,
     """
     _require_tensor_budget(family, entry_budget)
     g, e = _complement(family, cfg)
-    t = _tensor_from(family, e)
-    tensor_norm_sq = float(np.sum(np.abs(t) ** 2))
-    trace_eg = trace(matmul(e, g))
-    return tensor_norm_sq, trace_eg
+    return _norm_trace(_tensor_from(family, e), e, g)
+
+
+def _norm_trace(t, e, g) -> tuple[float, complex]:
+    """(sum_p |T_p|^2, trace(E G)): the norm side never sees G, the trace
+    side never sees T."""
+    return float(np.sum(np.abs(t) ** 2)), trace(matmul(e, g))
+
+
+def _tensor_pairing(xs, y, t) -> complex:
+    """<x_1 (x) ... (x) x_k (x) conj(y), T>, with T viewed as n^k x n.
+
+    Contracting the last slot first gives inner(x_1 (x) ... (x) x_k, T y),
+    so no n^(k+1)-long product vector is formed.
+    """
+    return inner(reduce(np.kron, xs), t.reshape(-1, y.shape[0]) @ y)
 
 
 def _pairing_residual(family, xs, y, e, t, scale):
     h = reduce(hadamard, (b @ x for b, x in zip(family, xs)))
     lhs = inner(h, e @ y)
-    tx = reduce(tensor_vec, list(xs) + [np.conj(y)])
-    rhs = inner(tx, t)
+    rhs = _tensor_pairing(xs, y, t)
     denom = max(1.0, scale * float(np.prod([np.linalg.norm(x) for x in xs])) * float(np.linalg.norm(y)))
     return abs(lhs - rhs) / denom
 
@@ -173,7 +187,8 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig,
     normalized by max(1, scale * prod ||x_j|| * ||y||).
 
     The left side works in C^n (entrywise products, one projector matvec);
-    the right side pairs explicit tensors in C^(n^(k+1)).
+    the right side pairs x_1 (x) ... (x) x_k in C^(n^k) with T y, where T is
+    the explicit witness viewed as an n^k x n matrix.
     """
     xs = [np.asarray(x, dtype=np.complex128) for x in xs]
     y = np.asarray(y, dtype=np.complex128)
@@ -255,8 +270,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     pairing_residuals: list[float] = []
     if bfam.n ** (bfam.k + 1) <= entry_budget:
         t = _tensor_from(bfam, e)
-        tensor_norm_sq = float(np.sum(np.abs(t) ** 2))
-        trace_eg = trace(matmul(e, g))
+        tensor_norm_sq, trace_eg = _norm_trace(t, e, g)
         norm_trace_gap = abs(tensor_norm_sq - trace_eg.real)
         s2 = scale * scale
         checks["norm_trace"] = (norm_trace_gap <= NORM_TRACE_TOL * s2

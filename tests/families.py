@@ -5,7 +5,9 @@ textures, dense Gaussian through zero, identity, diagonal with holes,
 nilpotent, repeated-column and mixed. That is 256 families, all inside the
 n^k oracle budget. psd_corpus() builds 108 positive semidefinite families
 with controlled member ranks. Both are pure functions of the pinned entropy
-below, so every test run sees byte-identical matrices.
+below, so every test run sees byte-identical matrices. face_split() is the
+reference face-splitting product that the wide-SVD and tensor-witness tests
+build their inputs and expectations from.
 """
 
 from __future__ import annotations
@@ -19,6 +21,15 @@ CORPUS_ENTROPY = 20260819
 
 KINDS = ("dense", "deficient", "zero", "identity", "diagonal",
          "nilpotent", "repeated", "mixed")
+
+
+def face_split(mats):
+    """Row-wise Kronecker product: row i is mats[0][i, :] (x) ... (x) mats[-1][i, :]."""
+    n = mats[0].shape[0]
+    h = mats[0]
+    for b in mats[1:]:
+        h = (h[:, :, None] * b[:, None, :]).reshape(n, -1)
+    return h
 
 
 def _rng(*key: int) -> np.random.Generator:

@@ -8,6 +8,8 @@ from hspan import (DimensionError, NotHermitianError, Subspace,
                    hermitian_eig, projector, range_basis, subspace_distance)
 from hspan.rng import complex_gaussian
 
+from families import face_split
+
 CFG = ToleranceConfig()
 seeds = st.integers(0, 2**32 - 1)
 
@@ -121,14 +123,6 @@ def svd_reference(a, cfg):
     cutoff = cfg.rank_rel_tol * max(a.shape) * s[0]
     r = int(np.count_nonzero(s > cutoff))
     return r, cutoff, Subspace(u[:, :r], cutoff)
-
-
-def face_split(mats):
-    n = mats[0].shape[0]
-    h = mats[0]
-    for b in mats[1:]:
-        h = (h[:, :, None] * b[:, None, :]).reshape(n, -1)
-    return h
 
 
 def wide_cases():

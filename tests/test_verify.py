@@ -1,4 +1,5 @@
 import json
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    PsdFamily, ToleranceConfig, column_identity_residual,
                    family_scale, norm_trace_identity, orthogonality_check,
                    pairing_identity_residual, tensor_witness, verify_all)
+from hspan.matrixops import inner, tensor_vec
 from hspan.rng import complex_gaussian
 
 CFG = ToleranceConfig(seed=7)
@@ -84,6 +86,50 @@ def test_tensor_witness_budget():
     small = MatrixFamily([np.eye(2), np.eye(2)])
     with pytest.raises(BudgetExceededError):
         tensor_witness(small, CFG, entry_budget=7)
+
+
+def kron_sum_tensor(fam, m):
+    """sum_i (B_1* e_i) (x) ... (x) (B_k* e_i) (x) (conj(m) e_i), term by term."""
+    t = np.zeros(fam.n ** (fam.k + 1), dtype=np.complex128)
+    for i in range(fam.n):
+        t += reduce(np.kron, [b.conj().T[:, i] for b in fam] + [np.conj(m)[:, i]])
+    return t
+
+
+def witness_cases():
+    # m is a random complex matrix, not a projector, so T is far from 0
+    rng = np.random.default_rng(93)
+    for k, n in zip(range(1, 5), (7, 6, 5, 4)):
+        general = MatrixFamily([complex_gaussian(rng, n, n) for _ in range(k)])
+        yield pytest.param(general, complex_gaussian(rng, n, n), id=f"general-{n}x{k}")
+        yield pytest.param(deficient_family(n, k, 94 + k), complex_gaussian(rng, n, n),
+                           id=f"deficient-{n}x{k}")
+
+
+@pytest.mark.parametrize("fam, m", list(witness_cases()))
+def test_tensor_from_matches_kron_sum_definition(fam, m):
+    n, k = fam.n, fam.k
+    t = hv._tensor_from(fam, m)
+    ref = kron_sum_tensor(fam, m)
+    assert t.shape == ref.shape
+    assert np.linalg.norm(t - ref) <= 1e-13 * np.linalg.norm(ref)
+    eh_adj = (m @ families.face_split(fam.matrices)).conj().T
+    assert np.linalg.norm(t.reshape(n**k, n) - eh_adj) <= 1e-13 * np.linalg.norm(eh_adj)
+
+
+@pytest.mark.parametrize("fam, m", list(witness_cases()))
+def test_pairing_identity_with_hermitian_non_projector(fam, m):
+    # the identity needs E Hermitian, not idempotent: both sides are O(1) here
+    e = m + m.conj().T
+    rng = np.random.default_rng(95)
+    xs = [complex_gaussian(rng, fam.n) for _ in range(fam.k)]
+    y = complex_gaussian(rng, fam.n)
+    t = hv._tensor_from(fam, e)
+    expected = inner(reduce(tensor_vec, xs + [np.conj(y)]), t)
+    assert abs(expected) >= 1e-3 * family_scale(fam) * np.prod(
+        [np.linalg.norm(x) for x in xs]) * np.linalg.norm(y)
+    assert abs(hv._tensor_pairing(xs, y, t) - expected) <= 1e-12 * abs(expected)
+    assert hv._pairing_residual(fam, xs, y, e, t, family_scale(fam)) <= hv.PAIRING_TOL
 
 
 def test_norm_trace_identity_agrees():
