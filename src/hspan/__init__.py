@@ -8,11 +8,10 @@ numerically certifies the identities the equality rests on.
 
 from .errors import (BudgetExceededError, DimensionError, InstanceFormatError,
                      NotHermitianError, NotPsdError)
-from .matrixops import (basis_vector, conj_entrywise, conj_transpose,
-                        frobenius_norm, hadamard, inner, matmul, tensor_vec,
+from .matrixops import (frobenius_norm, hadamard, inner, matmul, tensor_vec,
                         trace)
 from .subspace import (Subspace, ToleranceConfig, complement_projector,
-                       contains, equal, hermitian_eig, projector, range_basis,
+                       contains, hermitian_eig, projector, range_basis,
                        subspace_distance)
 from .spans import (MatrixFamily, PsdFamily, basis_product_oracle,
                     gram_hadamard, hadamard_span, psd_hadamard_span, psd_sqrt,
@@ -28,10 +27,9 @@ __version__ = "1.0.0"
 __all__ = [
     "BudgetExceededError", "DimensionError", "InstanceFormatError",
     "NotHermitianError", "NotPsdError",
-    "basis_vector", "conj_entrywise", "conj_transpose", "frobenius_norm",
-    "hadamard", "inner", "matmul", "tensor_vec", "trace",
+    "frobenius_norm", "hadamard", "inner", "matmul", "tensor_vec", "trace",
     "Subspace", "ToleranceConfig", "complement_projector", "contains",
-    "equal", "hermitian_eig", "projector", "range_basis", "subspace_distance",
+    "hermitian_eig", "projector", "range_basis", "subspace_distance",
     "MatrixFamily", "PsdFamily", "basis_product_oracle", "gram_hadamard",
     "hadamard_span", "psd_hadamard_span", "psd_sqrt", "random_sample_span",
     "single_vector_sample_span",

@@ -96,23 +96,18 @@ def _report(command: str, family, kind: str, seed: int, payload: dict, started: 
     return out
 
 
-def _subspace_payload(s) -> dict:
-    return {"rank": s.rank, "basis": matrix_to_pairs(s.basis), "rank_cutoff": s.tol_used}
+def _span(family, kind, cfg):
+    return psd_hadamard_span(family, cfg) if kind == "psd" else hadamard_span(family, cfg)
 
 
-def _run_span(path, args, seed):
-    started = time.perf_counter()
-    family, kind = load_instance(path)
-    cfg = ToleranceConfig(rank_rel_tol=args.rank_tol, seed=seed)
-    span = psd_hadamard_span(family, cfg) if kind == "psd" else hadamard_span(family, cfg)
-    return EXIT_OK, _report("span", family, kind, seed, _subspace_payload(span), started)
+def _run_span(family, kind, cfg, args):
+    span = _span(family, kind, cfg)
+    return EXIT_OK, {"rank": span.rank, "basis": matrix_to_pairs(span.basis),
+                     "rank_cutoff": span.tol_used}
 
 
-def _run_compare(path, args, seed):
-    started = time.perf_counter()
-    family, kind = load_instance(path)
-    cfg = ToleranceConfig(rank_rel_tol=args.rank_tol, seed=seed)
-    span = psd_hadamard_span(family, cfg) if kind == "psd" else hadamard_span(family, cfg)
+def _run_compare(family, kind, cfg, args):
+    span = _span(family, kind, cfg)
     if args.mode == "basis":
         samples = None
         oracle = basis_product_oracle(family, cfg)
@@ -129,18 +124,13 @@ def _run_compare(path, args, seed):
         "tol": args.tol,
         "match": distance <= args.tol,
     }
-    code = EXIT_OK if distance <= args.tol else EXIT_MISMATCH
-    return code, _report("compare", family, kind, seed, payload, started)
+    return (EXIT_OK if distance <= args.tol else EXIT_MISMATCH), payload
 
 
-def _run_verify(path, args, seed):
-    started = time.perf_counter()
-    family, kind = load_instance(path)
-    cfg = ToleranceConfig(rank_rel_tol=args.rank_tol, seed=seed)
+def _run_verify(family, kind, cfg, args):
     report = verify_all(family, cfg, pairing_trials=args.pairing_trials,
                         orthogonality_trials=args.trials)
-    code = EXIT_OK if report.passed else EXIT_MISMATCH
-    return code, _report("verify", family, kind, seed, report.to_dict(), started)
+    return (EXIT_OK if report.passed else EXIT_MISMATCH), report.to_dict()
 
 
 def _run_gen(args, seed) -> int:
@@ -160,10 +150,15 @@ def _run_gen(args, seed) -> int:
 
 
 def _run_file(runner, path, args, seed):
-    """Evaluate one file, mapping failures to (exit code, diagnostic)."""
+    """Load one file, run `runner(family, kind, cfg, args) -> (code, payload)`
+    on it and wrap the payload in a report; failures map to (exit code,
+    diagnostic). The clock starts before the load."""
     try:
-        code, report = runner(path, args, seed)
-        return code, report, None
+        started = time.perf_counter()
+        family, kind = load_instance(path)
+        cfg = ToleranceConfig(rank_rel_tol=args.rank_tol, seed=seed)
+        code, payload = runner(family, kind, cfg, args)
+        return code, _report(args.command, family, kind, seed, payload, started), None
     except InstanceFormatError as exc:
         return EXIT_INPUT, None, f"{path}: {exc}"
     except BudgetExceededError as exc:

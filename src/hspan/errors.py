@@ -5,12 +5,13 @@ class DimensionError(ValueError):
     """Shapes of the operands do not fit the operation."""
 
 
-class NotHermitianError(ValueError):
-    """A matrix that must be Hermitian is not, beyond tolerance."""
-
-
 class NotPsdError(ValueError):
     """A matrix that must be positive semidefinite is not, beyond tolerance."""
+
+
+class NotHermitianError(NotPsdError):
+    """A matrix that must be Hermitian is not, beyond tolerance; such a
+    matrix is never positive semidefinite either."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -110,10 +110,9 @@ def parse_instance(obj) -> tuple[MatrixFamily, str]:
     if obj["schema_version"] != SCHEMA_VERSION:
         raise InstanceFormatError(f"unsupported schema_version {obj['schema_version']!r}")
     n, k, kind = obj["n"], obj["k"], obj["kind"]
-    if not isinstance(n, int) or n < 1:
-        raise InstanceFormatError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
-        raise InstanceFormatError(f"k must be a positive integer, got {k!r}")
+    for name, size in (("n", n), ("k", k)):
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise InstanceFormatError(f"{name} must be a positive integer, got {size!r}")
     if kind not in KINDS:
         raise InstanceFormatError(f"kind must be one of {KINDS}, got {kind!r}")
     mats_obj = obj["matrices"]
@@ -146,4 +145,6 @@ def load_instance(path) -> tuple[MatrixFamily, str]:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceFormatError(f"{path} is nested too deeply") from exc
     return parse_instance(obj)

@@ -47,14 +47,6 @@ def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b
 
 
-def conj_transpose(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128).conj().T
-
-
-def conj_entrywise(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(a, dtype=np.complex128))
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
@@ -89,14 +81,3 @@ def trace(a: np.ndarray) -> complex:
 
 def frobenius_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=np.complex128)))
-
-
-def basis_vector(n: int, i: int) -> np.ndarray:
-    """Standard basis vector with a 1 at position i, indices 1..n."""
-    if n < 1:
-        raise DimensionError(f"dimension must be positive, got {n}")
-    if not 1 <= i <= n:
-        raise DimensionError(f"basis index must satisfy 1 <= i <= {n}, got {i}")
-    e = np.zeros(n, dtype=np.complex128)
-    e[i - 1] = 1.0
-    return e

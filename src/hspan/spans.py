@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BudgetExceededError, DimensionError, NotPsdError
 from .matrixops import as_matrix, hadamard
 from .rng import STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian, seed_children
-from .subspace import Subspace, ToleranceConfig, range_basis
+from .subspace import Subspace, ToleranceConfig, _hermitian_part, range_basis
 
 PSD_REL_TOL = 1e-10
 ORACLE_COLUMN_BUDGET = 65536
@@ -57,18 +57,8 @@ class MatrixFamily:
     def k(self) -> int:
         return self._stack.shape[0]
 
-    @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._stack[i] for i in range(self.k))
-
-    def __len__(self):
-        return self.k
-
-    def __getitem__(self, i) -> np.ndarray:
-        return self._stack[i]
-
     def __iter__(self):
-        return iter(self.matrices)
+        return iter(self._stack)
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, k={self.k})"
@@ -84,13 +74,14 @@ class PsdFamily(MatrixFamily):
     def __init__(self, matrices):
         super().__init__(matrices)
         for i, a in enumerate(self):
-            norm = float(np.linalg.norm(a))
-            defect = float(np.linalg.norm(a - a.conj().T))
-            if defect > PSD_REL_TOL * max(norm, 1e-300):
-                raise NotPsdError(f"matrix {i + 1} is not Hermitian: defect {defect:.3e}")
-            w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
-            if w.size and float(w[0]) < -PSD_REL_TOL * norm:
-                raise NotPsdError(f"matrix {i + 1} has negative eigenvalue {float(w[0]):.3e}")
+            h, norm = _hermitian_part(a, f"matrix {i + 1}")
+            _require_psd(np.linalg.eigvalsh(h), norm, f"matrix {i + 1}")
+
+
+def _require_psd(w: np.ndarray, norm: float, name: str) -> None:
+    """Reject ascending eigenvalues w whose smallest is below -1e-10 * ||A||_F."""
+    if w.size and float(w[0]) < -PSD_REL_TOL * norm:
+        raise NotPsdError(f"{name} has negative eigenvalue {float(w[0]):.3e}")
 
 
 def gram_hadamard(family: MatrixFamily) -> np.ndarray:
@@ -130,7 +121,7 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig,
     n, k = family.n, family.k
     if n**k > column_budget:
         raise BudgetExceededError(f"oracle needs n^k = {n**k} columns, budget is {column_budget}")
-    return range_basis(_face_split(family.matrices), cfg)
+    return range_basis(_face_split(list(family)), cfg)
 
 
 def random_sample_span(family: MatrixFamily, samples: int, cfg: ToleranceConfig) -> Subspace:
@@ -161,17 +152,9 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     eigenvalue roundoff into sqrt(roundoff) singular values, inflating the
     numerical rank of the result above the rank of A.
     """
-    a = as_matrix(a, "A")
-    n, m = a.shape
-    if n != m:
-        raise DimensionError(f"square root needs a square matrix, got {a.shape}")
-    norm = float(np.linalg.norm(a))
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > PSD_REL_TOL * max(norm, 1e-300):
-        raise NotPsdError(f"matrix is not Hermitian: defect {defect:.3e}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    if w.size and float(w[0]) < -PSD_REL_TOL * norm:
-        raise NotPsdError(f"matrix has negative eigenvalue {float(w[0]):.3e}")
+    h, norm = _hermitian_part(a)
+    w, v = np.linalg.eigh(h)
+    _require_psd(w, norm, "matrix")
     w = np.where(w <= PSD_REL_TOL * norm, 0.0, w)
     root = (v * np.sqrt(w)) @ v.conj().T
     return (root + root.conj().T) / 2.0
@@ -181,7 +164,7 @@ def psd_hadamard_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:
     """Span of the PSD-family products, computed as range(A_1 o ... o A_k)."""
     if not isinstance(family, PsdFamily):
         raise NotPsdError("psd_hadamard_span needs a PsdFamily")
-    return range_basis(reduce(hadamard, family.matrices), cfg)
+    return range_basis(reduce(hadamard, family), cfg)
 
 
 def single_vector_sample_span(family: PsdFamily, cfg: ToleranceConfig,

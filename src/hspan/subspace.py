@@ -5,9 +5,9 @@ rank-revealing SVD with a spectral-relative threshold: singular values above
 rank_rel_tol * max(rows, cols) * sigma_1 count toward the rank. A wide n x m
 matrix is first reduced to an n x n factor with the same singular values and
 range, so no m-long factor is built; its cutoff still uses max(n, m).
-Distances, containment and equality are all phrased through orthogonal
-projectors P = Q Q*, which makes every downstream check independent of the
-particular basis chosen.
+Distances and containment are phrased through orthogonal projectors
+P = Q Q*, which makes every downstream check independent of the particular
+basis chosen.
 """
 
 from __future__ import annotations
@@ -25,17 +25,14 @@ BASIS_ORTHO_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical policy: rank threshold, identity tolerance, RNG seed."""
+    """Numerical policy: the relative rank threshold and the RNG seed."""
 
     rank_rel_tol: float = 1e-10
-    identity_abs_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if not self.rank_rel_tol > 0:
             raise ValueError(f"rank_rel_tol must be positive, got {self.rank_rel_tol}")
-        if not self.identity_abs_tol > 0:
-            raise ValueError(f"identity_abs_tol must be positive, got {self.identity_abs_tol}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -73,21 +70,26 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, rank={self.rank})"
 
 
+def _hermitian_part(a, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """((A + A*) / 2, ||A||_F) for a square A whose Hermitian defect
+    ||A - A*||_F is at most 1e-10 * ||A||_F."""
+    a = as_matrix(a, name)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {a.shape}")
+    norm = float(np.linalg.norm(a))
+    defect = float(np.linalg.norm(a - a.conj().T))
+    if defect > HERMITIAN_REL_TOL * max(norm, 1e-300):
+        raise NotHermitianError(f"{name} is not Hermitian: ||A - A*|| = {defect:.3e}, ||A|| = {norm:.3e}")
+    return (a + a.conj().T) / 2.0, norm
+
+
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     The input may deviate from exact Hermitian symmetry by at most
     1e-10 * ||A||_F; it is symmetrized before solving.
     """
-    a = as_matrix(a, "A")
-    n, m = a.shape
-    if n != m:
-        raise DimensionError(f"eigendecomposition needs a square matrix, got {a.shape}")
-    norm = np.linalg.norm(a)
-    defect = np.linalg.norm(a - a.conj().T)
-    if defect > HERMITIAN_REL_TOL * max(norm, 1e-300):
-        raise NotHermitianError(f"matrix is not Hermitian: ||A - A*|| = {defect:.3e}, ||A|| = {norm:.3e}")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(a)[0])
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
@@ -135,7 +137,3 @@ def contains(s: Subspace, v: np.ndarray, tol: float) -> bool:
         raise DimensionError(f"vector dimension {v.shape[0]} does not match ambient {s.ambient_dim}")
     residual = v - s.basis @ (s.basis.conj().T @ v)
     return float(np.linalg.norm(residual)) <= tol * max(1.0, float(np.linalg.norm(v)))
-
-
-def equal(s1: Subspace, s2: Subspace, tol: float) -> bool:
-    return subspace_distance(s1, s2) <= tol

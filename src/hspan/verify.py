@@ -115,8 +115,11 @@ def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
 
 
 def _complement(family: MatrixFamily, cfg: ToleranceConfig):
+    """(G, range(G), E): the Gram matrix, its range under cfg's rank policy,
+    and the projector onto the orthogonal complement of that range."""
     g = gram_hadamard(family)
-    return g, complement_projector(range_basis(g, cfg))
+    span = range_basis(g, cfg)
+    return g, span, complement_projector(span)
 
 
 def _tensor_from(family: MatrixFamily, e: np.ndarray) -> np.ndarray:
@@ -142,7 +145,7 @@ def tensor_witness(family: MatrixFamily, cfg: ToleranceConfig,
                    entry_budget: int = TENSOR_ENTRY_BUDGET) -> np.ndarray:
     """The witness vector T of dimension n^(k+1); the span equality says T = 0."""
     _require_tensor_budget(family, entry_budget)
-    _, e = _complement(family, cfg)
+    _, _, e = _complement(family, cfg)
     return _tensor_from(family, e)
 
 
@@ -154,7 +157,7 @@ def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig,
     plain matrix product, no tensor involved.
     """
     _require_tensor_budget(family, entry_budget)
-    g, e = _complement(family, cfg)
+    g, _, e = _complement(family, cfg)
     return _norm_trace(_tensor_from(family, e), e, g)
 
 
@@ -173,12 +176,26 @@ def _tensor_pairing(xs, y, t) -> complex:
     return inner(reduce(np.kron, xs), t.reshape(-1, y.shape[0]) @ y)
 
 
-def _pairing_residual(family, xs, y, e, t, scale):
+def _draws(family: MatrixFamily, seed: int, stream: int, trials: int):
+    """Trial vectors (x_1 .. x_k, y), one child seed of (seed, stream) per
+    trial: the k slot vectors are drawn first, then y."""
+    for child in seed_children(seed, stream, trials):
+        rng = np.random.default_rng(child)
+        xs = [complex_gaussian(rng, family.n) for _ in range(family.k)]
+        yield xs, complex_gaussian(rng, family.n)
+
+
+def _family_pairing(family, xs, y, e, scale) -> tuple[complex, float]:
+    """(<(B_1 x_1) o ... o (B_k x_k), E y>, scale * prod ||x_j|| * ||y||),
+    computed in C^n without the tensor witness."""
     h = reduce(hadamard, (b @ x for b, x in zip(family, xs)))
-    lhs = inner(h, e @ y)
-    rhs = _tensor_pairing(xs, y, t)
-    denom = max(1.0, scale * float(np.prod([np.linalg.norm(x) for x in xs])) * float(np.linalg.norm(y)))
-    return abs(lhs - rhs) / denom
+    norm = scale * float(np.prod([np.linalg.norm(x) for x in xs])) * float(np.linalg.norm(y))
+    return inner(h, e @ y), norm
+
+
+def _pairing_residual(family, xs, y, e, t, scale):
+    lhs, norm = _family_pairing(family, xs, y, e, scale)
+    return abs(lhs - _tensor_pairing(xs, y, t)) / max(1.0, norm)
 
 
 def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig,
@@ -200,25 +217,19 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig,
     if y.shape != (family.n,):
         raise DimensionError(f"y has shape {y.shape}, expected ({family.n},)")
     _require_tensor_budget(family, entry_budget)
-    _, e = _complement(family, cfg)
+    _, _, e = _complement(family, cfg)
     t = _tensor_from(family, e)
     return _pairing_residual(family, xs, y, e, t, family_scale(family))
 
 
 def _orthogonality_residuals(family, trials, cfg, e, scale):
-    n, k = family.n, family.k
     out = []
-    for child in seed_children(cfg.seed, STREAM_ORTHO, trials):
-        rng = np.random.default_rng(child)
-        xs = [complex_gaussian(rng, n) for _ in range(k)]
-        y = complex_gaussian(rng, n)
-        h = reduce(hadamard, (b @ x for b, x in zip(family, xs)))
-        num = abs(inner(h, e @ y))
-        denom = scale * float(np.prod([np.linalg.norm(x) for x in xs])) * float(np.linalg.norm(y))
-        if denom == 0.0:
-            out.append(0.0 if num == 0.0 else float("inf"))
+    for xs, y in _draws(family, cfg.seed, STREAM_ORTHO, trials):
+        lhs, norm = _family_pairing(family, xs, y, e, scale)
+        if norm == 0.0:
+            out.append(0.0 if lhs == 0.0 else float("inf"))
         else:
-            out.append(num / denom)
+            out.append(abs(lhs) / norm)
     return out
 
 
@@ -230,7 +241,7 @@ def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig)
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _, e = _complement(family, cfg)
+    _, _, e = _complement(family, cfg)
     return _orthogonality_residuals(family, trials, cfg, e, family_scale(family))
 
 
@@ -254,9 +265,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
         bfam = family
 
     scale = family_scale(bfam)
-    g = gram_hadamard(bfam)
-    span = range_basis(g, cfg)
-    e = complement_projector(span)
+    g, span, e = _complement(bfam, cfg)
 
     checks: dict[str, bool] = {}
     skipped: list[str] = []
@@ -264,9 +273,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     column_res = _column_identity(bfam, g)
     checks["column_identity"] = column_res <= COLUMN_IDENTITY_TOL
 
-    tensor_norm_sq = None
-    trace_eg = None
-    norm_trace_gap = None
+    tensor_norm_sq = trace_eg = norm_trace_gap = None
     pairing_residuals: list[float] = []
     if bfam.n ** (bfam.k + 1) <= entry_budget:
         t = _tensor_from(bfam, e)
@@ -277,11 +284,8 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
                                 and tensor_norm_sq <= NORM_TRACE_TOL * s2
                                 and abs(trace_eg.real) <= NORM_TRACE_TOL * s2
                                 and abs(trace_eg.imag) <= NORM_TRACE_IMAG_TOL * s2)
-        for child in seed_children(cfg.seed, STREAM_PAIRING, pairing_trials):
-            rng = np.random.default_rng(child)
-            xs = [complex_gaussian(rng, bfam.n) for _ in range(bfam.k)]
-            y = complex_gaussian(rng, bfam.n)
-            pairing_residuals.append(_pairing_residual(bfam, xs, y, e, t, scale))
+        pairing_residuals = [_pairing_residual(bfam, xs, y, e, t, scale)
+                             for xs, y in _draws(bfam, cfg.seed, STREAM_PAIRING, pairing_trials)]
         checks["pairing"] = max(pairing_residuals, default=0.0) <= PAIRING_TOL
     else:
         skipped.extend(["norm_trace", "pairing"])

@@ -130,6 +130,24 @@ def test_malformed_file_exits_two(tmp_path):
         assert err
 
 
+def test_deeply_nested_json_exits_two(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run_cli("span", path)
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_cli_imports_no_undeclared_dependencies():
+    # scipy and sympy may be installed, but the package declares only numpy
+    code = ("import sys, hspan.cli; "
+            "print(sorted(m for m in ('scipy', 'sympy') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_passes_and_reports(instance):
     code, out, _ = run_cli("verify", instance, "--trials", 20, "--seed", 3)
     assert code == 0

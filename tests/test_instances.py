@@ -28,12 +28,12 @@ def test_generate_deterministic_per_seed():
     c = generate_family(4, 2, seed=6)
     for ma, mb in zip(a, b):
         np.testing.assert_array_equal(ma, mb)
-    assert not np.array_equal(a[0], c[0])
+    assert not np.array_equal(next(iter(a)), next(iter(c)))
 
 
 def test_generate_members_differ_within_family():
-    fam = generate_family(4, 3, seed=1)
-    assert not np.array_equal(fam[0], fam[1])
+    m1, m2, _ = generate_family(4, 3, seed=1)
+    assert not np.array_equal(m1, m2)
 
 
 def test_generate_general_deficit_zeroes_trailing_columns():
@@ -73,7 +73,8 @@ def test_instance_dict_shape():
     assert set(obj) == {"schema_version", "n", "k", "kind", "matrices"}
     assert obj["n"] == 2 and obj["k"] == 2
     assert len(obj["matrices"]) == 2
-    assert obj["matrices"][0][0][0] == [fam[0][0, 0].real, fam[0][0, 0].imag]
+    m1 = next(iter(fam))
+    assert obj["matrices"][0][0][0] == [m1[0, 0].real, m1[0, 0].imag]
 
 
 @pytest.mark.parametrize("mutate,msg", [
@@ -90,6 +91,8 @@ def test_instance_dict_shape():
     (lambda o: o["matrices"][0][0].__setitem__(0, [1.0, "x"]), "pair"),
     (lambda o: o["matrices"][0][0].__setitem__(0, [True, 0.0]), "pair"),
     (lambda o: o["matrices"][0][0].__setitem__(0, [1e400, 0.0]), "finite"),
+    (lambda o: o.update(n=True), "positive"),
+    (lambda o: o.update(k=True), "positive"),
 ])
 def test_parse_rejects_malformed(mutate, msg):
     obj = json.loads(dump_instance(generate_family(3, 2, seed=12), "general"))

@@ -9,9 +9,10 @@ import hspan.verify as hv
 from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    PsdFamily, ToleranceConfig, column_identity_residual,
                    family_scale, norm_trace_identity, orthogonality_check,
-                   pairing_identity_residual, tensor_witness, verify_all)
+                   pairing_identity_residual, psd_sqrt, tensor_witness,
+                   verify_all)
 from hspan.matrixops import inner, tensor_vec
-from hspan.rng import complex_gaussian
+from hspan.rng import STREAM_PAIRING, complex_gaussian, seed_children
 
 CFG = ToleranceConfig(seed=7)
 
@@ -113,7 +114,7 @@ def test_tensor_from_matches_kron_sum_definition(fam, m):
     ref = kron_sum_tensor(fam, m)
     assert t.shape == ref.shape
     assert np.linalg.norm(t - ref) <= 1e-13 * np.linalg.norm(ref)
-    eh_adj = (m @ families.face_split(fam.matrices)).conj().T
+    eh_adj = (m @ families.face_split(list(fam))).conj().T
     assert np.linalg.norm(t.reshape(n**k, n) - eh_adj) <= 1e-13 * np.linalg.norm(eh_adj)
 
 
@@ -254,3 +255,28 @@ def test_report_serializes_to_json():
     assert back["passed"] is True
     assert len(back["trace_eg"]) == 2
     assert len(back["orthogonality_residuals"]) == 50
+
+
+def agreement_cases():
+    rng = np.random.default_rng(96)
+    yield pytest.param(MatrixFamily([complex_gaussian(rng, 5, 5) for _ in range(3)]),
+                       id="general-5x3")
+    yield pytest.param(deficient_family(6, 2, 97), id="deficient-6x2")
+    m1, m2 = complex_gaussian(rng, 5, 2), complex_gaussian(rng, 5, 4)
+    yield pytest.param(PsdFamily([m1 @ m1.conj().T, m2 @ m2.conj().T]), id="psd-5x2")
+
+
+@pytest.mark.parametrize("fam", list(agreement_cases()))
+def test_verify_all_agrees_with_identity_functions(fam):
+    rep = verify_all(fam, CFG)
+    if isinstance(fam, PsdFamily):  # the checks run on the square-root family
+        fam = MatrixFamily([psd_sqrt(a) for a in fam])
+    assert list(rep.orthogonality_residuals) == orthogonality_check(fam, 50, CFG)
+    assert (rep.tensor_norm_sq, rep.trace_eg) == norm_trace_identity(fam, CFG)
+    assert len(rep.pairing_residuals) == 10
+    # trial i draws x_1 .. x_k and then y from the i-th pairing child seed
+    for residual, child in zip(rep.pairing_residuals, seed_children(CFG.seed, STREAM_PAIRING, 10)):
+        rng = np.random.default_rng(child)
+        xs = [complex_gaussian(rng, fam.n) for _ in range(fam.k)]
+        y = complex_gaussian(rng, fam.n)
+        assert residual == pairing_identity_residual(fam, xs, y, CFG)
