@@ -8,8 +8,6 @@ numerically certifies the identities the equality rests on.
 
 from .errors import (BudgetExceededError, DimensionError, InstanceFormatError,
                      NotHermitianError, NotPsdError)
-from .matrixops import (frobenius_norm, hadamard, inner, matmul, tensor_vec,
-                        trace)
 from .subspace import (Subspace, ToleranceConfig, complement_projector,
                        contains, hermitian_eig, projector, range_basis,
                        subspace_distance)
@@ -27,7 +25,6 @@ __version__ = "1.0.0"
 __all__ = [
     "BudgetExceededError", "DimensionError", "InstanceFormatError",
     "NotHermitianError", "NotPsdError",
-    "frobenius_norm", "hadamard", "inner", "matmul", "tensor_vec", "trace",
     "Subspace", "ToleranceConfig", "complement_projector", "contains",
     "hermitian_eig", "projector", "range_basis", "subspace_distance",
     "MatrixFamily", "PsdFamily", "basis_product_oracle", "gram_hadamard",

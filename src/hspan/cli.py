@@ -4,7 +4,7 @@ Subcommands: gen writes random instance files, span computes the family
 span, compare cross-checks the span against an independent oracle, verify
 runs the identity checks. Reports are JSON, one object per input file, on
 stdout; diagnostics go to stderr. Exit codes: 0 success, 1 span mismatch or
-failed check, 2 input error, 3 size budget exceeded.
+failed check, 2 input error, 3 size budget exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import BudgetExceededError, InstanceFormatError
+from .errors import BudgetExceededError
 from .instances import (SCHEMA_VERSION, dump_instance, generate_family,
                         load_instance, matrix_to_pairs)
 from .spans import (basis_product_oracle, hadamard_span, psd_hadamard_span,
@@ -133,6 +133,10 @@ def _run_verify(family, kind, cfg, args):
     return (EXIT_OK if report.passed else EXIT_MISMATCH), report.to_dict()
 
 
+def _memory_message(exc: MemoryError) -> str:
+    return f"out of memory: {exc}" if str(exc) else "out of memory"
+
+
 def _run_gen(args, seed) -> int:
     try:
         family = generate_family(args.n, args.k, kind=args.kind,
@@ -146,6 +150,9 @@ def _run_gen(args, seed) -> int:
     except (ValueError, OSError) as exc:
         print(f"hspan gen: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"hspan gen: {_memory_message(exc)}", file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -159,11 +166,11 @@ def _run_file(runner, path, args, seed):
         cfg = ToleranceConfig(rank_rel_tol=args.rank_tol, seed=seed)
         code, payload = runner(family, kind, cfg, args)
         return code, _report(args.command, family, kind, seed, payload, started), None
-    except InstanceFormatError as exc:
-        return EXIT_INPUT, None, f"{path}: {exc}"
     except BudgetExceededError as exc:
         return EXIT_BUDGET, None, f"{path}: {exc}"
-    except ValueError as exc:
+    except MemoryError as exc:
+        return EXIT_BUDGET, None, f"{path}: {_memory_message(exc)}"
+    except ValueError as exc:  # InstanceFormatError included
         return EXIT_INPUT, None, f"{path}: {exc}"
 
 

@@ -137,14 +137,17 @@ def parse_instance(obj) -> tuple[MatrixFamily, str]:
 
 
 def load_instance(path) -> tuple[MatrixFamily, str]:
-    """Read and validate an instance file; psd files return a PsdFamily."""
+    """Read and validate an instance file; psd files return a PsdFamily.
+
+    Messages leave the path out: the caller names the file it passed.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
-        raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
+        raise InstanceFormatError(f"cannot read: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
+        raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
-        raise InstanceFormatError(f"{path} is nested too deeply") from exc
+        raise InstanceFormatError("nested too deeply") from exc
     return parse_instance(obj)

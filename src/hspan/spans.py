@@ -26,9 +26,9 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionError, NotPsdError
-from .matrixops import as_matrix, hadamard
 from .rng import STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian, seed_children
-from .subspace import Subspace, ToleranceConfig, _hermitian_part, range_basis
+from .subspace import (Subspace, ToleranceConfig, _hermitian_part, as_matrix,
+                       range_basis)
 
 PSD_REL_TOL = 1e-10
 ORACLE_COLUMN_BUDGET = 65536
@@ -86,7 +86,7 @@ def _require_psd(w: np.ndarray, norm: float, name: str) -> None:
 
 def gram_hadamard(family: MatrixFamily) -> np.ndarray:
     """G = (B_1 B_1*) o ... o (B_k B_k*), Hermitian PSD by the Schur product theorem."""
-    return reduce(hadamard, (b @ b.conj().T for b in family))
+    return reduce(np.multiply, (b @ b.conj().T for b in family))
 
 
 def hadamard_span(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
@@ -108,8 +108,7 @@ def _face_split(mats) -> np.ndarray:
     return h
 
 
-def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig,
-                         column_budget: int = ORACLE_COLUMN_BUDGET) -> Subspace:
+def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
     """Brute-force span of all n^k basis-combination products.
 
     Column i1..ik of the assembled n x n^k matrix H is
@@ -119,8 +118,9 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig,
     Never touches G = H H*, so it is an independent check of hadamard_span.
     """
     n, k = family.n, family.k
-    if n**k > column_budget:
-        raise BudgetExceededError(f"oracle needs n^k = {n**k} columns, budget is {column_budget}")
+    if n**k > ORACLE_COLUMN_BUDGET:
+        raise BudgetExceededError(
+            f"oracle needs n^k = {n**k} columns, budget is {ORACLE_COLUMN_BUDGET}")
     return range_basis(_face_split(list(family)), cfg)
 
 
@@ -164,7 +164,7 @@ def psd_hadamard_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:
     """Span of the PSD-family products, computed as range(A_1 o ... o A_k)."""
     if not isinstance(family, PsdFamily):
         raise NotPsdError("psd_hadamard_span needs a PsdFamily")
-    return range_basis(reduce(hadamard, family), cfg)
+    return range_basis(reduce(np.multiply, family), cfg)
 
 
 def single_vector_sample_span(family: PsdFamily, cfg: ToleranceConfig,

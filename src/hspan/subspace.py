@@ -17,10 +17,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NotHermitianError
-from .matrixops import as_matrix, as_vector
 
 HERMITIAN_REL_TOL = 1e-10
 BASIS_ORTHO_TOL = 1e-10
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite complex128 2-D array."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 2:
+        raise DimensionError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def as_vector(a, name: str = "vector") -> np.ndarray:
+    """Coerce to a finite complex128 1-D array."""
+    v = np.asarray(a, dtype=np.complex128)
+    if v.ndim != 1:
+        raise DimensionError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return v
 
 
 @dataclass(frozen=True)

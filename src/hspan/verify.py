@@ -25,22 +25,28 @@ certify itself. Residuals are normalized by scale = prod_i ||B_i||_F and the
 vector norms involved, and judged against the module tolerances below: exact
 algebraic identities at 1e-13 or 1e-12, identities that pass through a rank
 decision at 1e-7 or 1e-8.
+
+Two conventions hold throughout. The inner product
+<u, v> = sum_i u[i] * conj(v[i]) = np.vdot(v, u) is linear in its first slot
+and conjugate-linear in its second. Tensors are row-major and np.kron is
+left-associated, so the entry of u (x) v at index p * dim(v) + q is
+u[p] * v[q]. The tensor witness and the checks that need it are limited to
+TENSOR_ENTRY_BUDGET entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionError
-from .matrixops import frobenius_norm, hadamard, inner, matmul, trace
 from .rng import STREAM_ORTHO, STREAM_PAIRING, complex_gaussian, seed_children
 from .spans import (MatrixFamily, PsdFamily, _face_split, gram_hadamard,
                     psd_hadamard_span, psd_sqrt)
-from .subspace import (ToleranceConfig, complement_projector, range_basis,
-                       subspace_distance)
+from .subspace import (ToleranceConfig, as_vector, complement_projector,
+                       range_basis, subspace_distance)
 
 COLUMN_IDENTITY_TOL = 1e-13
 PAIRING_TOL = 1e-12
@@ -53,7 +59,7 @@ TENSOR_ENTRY_BUDGET = 1_000_000
 
 def family_scale(family: MatrixFamily) -> float:
     """prod_i ||B_i||_F, the natural magnitude of the family."""
-    return float(np.prod([frobenius_norm(b) for b in family]))
+    return float(np.prod([np.linalg.norm(b) for b in family]))
 
 
 @dataclass(frozen=True)
@@ -78,18 +84,10 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         """JSON-ready form; the complex trace becomes a [re, im] pair."""
-        return {
-            "column_identity_residual": self.column_identity_residual,
-            "tensor_norm_sq": self.tensor_norm_sq,
-            "trace_eg": None if self.trace_eg is None else [self.trace_eg.real, self.trace_eg.imag],
-            "norm_trace_gap": self.norm_trace_gap,
-            "pairing_residuals": list(self.pairing_residuals),
-            "orthogonality_residuals": list(self.orthogonality_residuals),
-            "psd_span_distance": self.psd_span_distance,
-            "checks": dict(self.checks),
-            "skipped": list(self.skipped),
-            "passed": self.passed,
-        }
+        out = asdict(self)
+        if self.trace_eg is not None:
+            out["trace_eg"] = [self.trace_eg.real, self.trace_eg.imag]
+        return out
 
 
 def column_identity_residual(family: MatrixFamily) -> float:
@@ -103,13 +101,13 @@ def column_identity_residual(family: MatrixFamily) -> float:
 
 
 def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
-    denom = max(1.0, frobenius_norm(g))
+    denom = max(1.0, float(np.linalg.norm(g)))
     n = family.n
     worst = 0.0
     for i in range(n):
         e_i = np.zeros(n, dtype=np.complex128)
         e_i[i] = 1.0
-        col = reduce(hadamard, (b @ (b.conj().T @ e_i) for b in family))
+        col = reduce(np.multiply, (b @ (b.conj().T @ e_i) for b in family))
         worst = max(worst, float(np.linalg.norm(g[:, i] - col)))
     return worst / denom
 
@@ -134,29 +132,27 @@ def _tensor_from(family: MatrixFamily, e: np.ndarray) -> np.ndarray:
     return (h_bar.T @ np.conj(e).T).reshape(-1)
 
 
-def _require_tensor_budget(family: MatrixFamily, entry_budget: int):
+def _require_tensor_budget(family: MatrixFamily):
     entries = family.n ** (family.k + 1)
-    if entries > entry_budget:
+    if entries > TENSOR_ENTRY_BUDGET:
         raise BudgetExceededError(
-            f"tensor witness needs n^(k+1) = {entries} entries, budget is {entry_budget}")
+            f"tensor witness needs n^(k+1) = {entries} entries, budget is {TENSOR_ENTRY_BUDGET}")
 
 
-def tensor_witness(family: MatrixFamily, cfg: ToleranceConfig,
-                   entry_budget: int = TENSOR_ENTRY_BUDGET) -> np.ndarray:
+def tensor_witness(family: MatrixFamily, cfg: ToleranceConfig) -> np.ndarray:
     """The witness vector T of dimension n^(k+1); the span equality says T = 0."""
-    _require_tensor_budget(family, entry_budget)
+    _require_tensor_budget(family)
     _, _, e = _complement(family, cfg)
     return _tensor_from(family, e)
 
 
-def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig,
-                        entry_budget: int = TENSOR_ENTRY_BUDGET) -> tuple[float, complex]:
+def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig) -> tuple[float, complex]:
     """Both sides of ||T||^2 = trace(E G), computed independently.
 
     The norm side sums |T_p|^2 over the explicit tensor; the trace side is a
     plain matrix product, no tensor involved.
     """
-    _require_tensor_budget(family, entry_budget)
+    _require_tensor_budget(family)
     g, _, e = _complement(family, cfg)
     return _norm_trace(_tensor_from(family, e), e, g)
 
@@ -164,16 +160,16 @@ def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig,
 def _norm_trace(t, e, g) -> tuple[float, complex]:
     """(sum_p |T_p|^2, trace(E G)): the norm side never sees G, the trace
     side never sees T."""
-    return float(np.sum(np.abs(t) ** 2)), trace(matmul(e, g))
+    return float(np.sum(np.abs(t) ** 2)), complex(np.trace(e @ g))
 
 
 def _tensor_pairing(xs, y, t) -> complex:
     """<x_1 (x) ... (x) x_k (x) conj(y), T>, with T viewed as n^k x n.
 
-    Contracting the last slot first gives inner(x_1 (x) ... (x) x_k, T y),
-    so no n^(k+1)-long product vector is formed.
+    Contracting the last slot first gives <x_1 (x) ... (x) x_k, T y>, so no
+    n^(k+1)-long product vector is formed.
     """
-    return inner(reduce(np.kron, xs), t.reshape(-1, y.shape[0]) @ y)
+    return complex(np.vdot(t.reshape(-1, y.shape[0]) @ y, reduce(np.kron, xs)))
 
 
 def _draws(family: MatrixFamily, seed: int, stream: int, trials: int):
@@ -188,9 +184,9 @@ def _draws(family: MatrixFamily, seed: int, stream: int, trials: int):
 def _family_pairing(family, xs, y, e, scale) -> tuple[complex, float]:
     """(<(B_1 x_1) o ... o (B_k x_k), E y>, scale * prod ||x_j|| * ||y||),
     computed in C^n without the tensor witness."""
-    h = reduce(hadamard, (b @ x for b, x in zip(family, xs)))
+    h = reduce(np.multiply, (b @ x for b, x in zip(family, xs)))
     norm = scale * float(np.prod([np.linalg.norm(x) for x in xs])) * float(np.linalg.norm(y))
-    return inner(h, e @ y), norm
+    return complex(np.vdot(e @ y, h)), norm
 
 
 def _pairing_residual(family, xs, y, e, t, scale):
@@ -198,8 +194,7 @@ def _pairing_residual(family, xs, y, e, t, scale):
     return abs(lhs - _tensor_pairing(xs, y, t)) / max(1.0, norm)
 
 
-def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig,
-                              entry_budget: int = TENSOR_ENTRY_BUDGET) -> float:
+def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig) -> float:
     """|<(B_1 x_1) o ... o (B_k x_k), E y> - <x_1 (x)...(x) x_k (x) conj(y), T>|,
     normalized by max(1, scale * prod ||x_j|| * ||y||).
 
@@ -207,8 +202,8 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig,
     the right side pairs x_1 (x) ... (x) x_k in C^(n^k) with T y, where T is
     the explicit witness viewed as an n^k x n matrix.
     """
-    xs = [np.asarray(x, dtype=np.complex128) for x in xs]
-    y = np.asarray(y, dtype=np.complex128)
+    xs = [as_vector(x, "slot vector") for x in xs]
+    y = as_vector(y, "y")
     if len(xs) != family.k:
         raise DimensionError(f"need {family.k} slot vectors, got {len(xs)}")
     for x in xs:
@@ -216,7 +211,7 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig,
             raise DimensionError(f"slot vector has shape {x.shape}, expected ({family.n},)")
     if y.shape != (family.n,):
         raise DimensionError(f"y has shape {y.shape}, expected ({family.n},)")
-    _require_tensor_budget(family, entry_budget)
+    _require_tensor_budget(family)
     _, _, e = _complement(family, cfg)
     t = _tensor_from(family, e)
     return _pairing_residual(family, xs, y, e, t, family_scale(family))
@@ -246,8 +241,7 @@ def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig)
 
 
 def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
-               pairing_trials: int = 10, orthogonality_trials: int = 50,
-               entry_budget: int = TENSOR_ENTRY_BUDGET) -> VerificationReport:
+               pairing_trials: int = 10, orthogonality_trials: int = 50) -> VerificationReport:
     """Run every identity check on one family and aggregate a report.
 
     A PsdFamily is first reduced to its square-root family, on which the
@@ -275,7 +269,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
 
     tensor_norm_sq = trace_eg = norm_trace_gap = None
     pairing_residuals: list[float] = []
-    if bfam.n ** (bfam.k + 1) <= entry_budget:
+    if bfam.n ** (bfam.k + 1) <= TENSOR_ENTRY_BUDGET:
         t = _tensor_from(bfam, e)
         tensor_norm_sq, trace_eg = _norm_trace(t, e, g)
         norm_trace_gap = abs(tensor_norm_sq - trace_eg.real)

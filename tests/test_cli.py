@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import hspan.cli as cli
 from hspan import MatrixFamily, write_instance
 
 
@@ -137,6 +138,46 @@ def test_deeply_nested_json_exits_two(tmp_path):
     assert code == 2
     assert out == ""
     assert "nested too deeply" in err and "Traceback" not in err
+    assert err.count("deep.json") == 1
+
+
+def test_missing_file_exits_two_naming_it_once(tmp_path):
+    code, out, err = run_cli("span", tmp_path / "missing.json")
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err and "Traceback" not in err
+    assert err.count("missing.json") == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_memory_error_keeps_other_reports(tmp_path, monkeypatch, capsys, jobs):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    write_instance(good, MatrixFamily([np.eye(3)]), "general")
+    write_instance(bad, MatrixFamily([np.eye(4)]), "general")
+    real_run_span = cli._run_span
+
+    def run_span(family, kind, cfg, args):
+        if family.n == 4:
+            raise MemoryError()
+        return real_run_span(family, kind, cfg, args)
+
+    monkeypatch.setattr(cli, "_run_span", run_span)
+    code = cli.main(["span", str(good), str(bad), "--jobs", str(jobs)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert [r["instance"]["n"] for r in reports(out)] == [3]
+    assert err.splitlines() == [f"hspan span: {bad}: out of memory"]
+
+
+def test_gen_memory_error_exits_three(monkeypatch, capsys):
+    def generate_family(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1 TiB")
+
+    monkeypatch.setattr(cli, "generate_family", generate_family)
+    assert cli.main(["gen", "3", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["hspan gen: out of memory: Unable to allocate 1 TiB"]
 
 
 def test_cli_imports_no_undeclared_dependencies():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hspan.spans
 from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    NotPsdError, PsdFamily, ToleranceConfig,
                    basis_product_oracle, contains, gram_hadamard,
@@ -125,13 +126,14 @@ def test_oracle_identity_pair_spans_everything():
     assert basis_product_oracle(fam, CFG).rank == 3
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
     fam = gaussian_family(3, 11, 6)  # 3^11 = 177147 columns
     with pytest.raises(BudgetExceededError):
         basis_product_oracle(fam, CFG)
     small = gaussian_family(2, 4, 7)
+    monkeypatch.setattr(hspan.spans, "ORACLE_COLUMN_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
-        basis_product_oracle(small, CFG, column_budget=10)
+        basis_product_oracle(small, CFG)
 
 
 def test_random_sample_span_zero_family():

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hspan import (DimensionError, NotHermitianError, Subspace,
+from hspan import (DimensionError, MatrixFamily, NotHermitianError, Subspace,
                    ToleranceConfig, complement_projector, contains,
-                   hermitian_eig, projector, range_basis, subspace_distance)
+                   hermitian_eig, pairing_identity_residual, projector,
+                   range_basis, subspace_distance)
 from hspan.rng import complex_gaussian
 
 from families import face_split
@@ -197,6 +198,25 @@ def test_contains_zero_rank_only_zero_vector():
     s = range_basis(np.zeros((3, 3)), CFG)
     assert contains(s, np.zeros(3), 1e-10)
     assert not contains(s, np.array([1.0, 0.0, 0.0]), 1e-10)
+
+
+NON_FINITE_BOUNDARIES = {
+    "MatrixFamily": lambda m: MatrixFamily([m]),
+    "Subspace": lambda m: Subspace(m[:, :1]),
+    "range_basis": lambda m: range_basis(m, CFG),
+    "contains": lambda m: contains(Subspace(np.eye(2)), m[0], 1e-8),
+    "pairing_identity_residual": lambda m: pairing_identity_residual(
+        MatrixFamily([np.eye(2)]), [m[0]], np.ones(2), CFG),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("boundary", sorted(NON_FINITE_BOUNDARIES))
+def test_non_finite_input_rejected(boundary, value):
+    m = np.eye(2, dtype=np.complex128)
+    m[0, 0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        NON_FINITE_BOUNDARIES[boundary](m)
 
 
 def test_equal():

@@ -11,7 +11,6 @@ from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    family_scale, norm_trace_identity, orthogonality_check,
                    pairing_identity_residual, psd_sqrt, tensor_witness,
                    verify_all)
-from hspan.matrixops import inner, tensor_vec
 from hspan.rng import STREAM_PAIRING, complex_gaussian, seed_children
 
 CFG = ToleranceConfig(seed=7)
@@ -78,15 +77,16 @@ def test_tensor_witness_vanishes_on_random_families():
     assert np.linalg.norm(tensor_witness(fam, CFG)) <= 1e-7 * family_scale(fam)
 
 
-def test_tensor_witness_budget():
+def test_tensor_witness_budget(monkeypatch):
     fam = MatrixFamily([np.eye(16)] * 4)  # 16^5 > 1e6 entries
     with pytest.raises(BudgetExceededError):
         tensor_witness(fam, CFG)
     with pytest.raises(BudgetExceededError):
         norm_trace_identity(fam, CFG)
     small = MatrixFamily([np.eye(2), np.eye(2)])
+    monkeypatch.setattr(hv, "TENSOR_ENTRY_BUDGET", 7)
     with pytest.raises(BudgetExceededError):
-        tensor_witness(small, CFG, entry_budget=7)
+        tensor_witness(small, CFG)
 
 
 def kron_sum_tensor(fam, m):
@@ -126,7 +126,7 @@ def test_pairing_identity_with_hermitian_non_projector(fam, m):
     xs = [complex_gaussian(rng, fam.n) for _ in range(fam.k)]
     y = complex_gaussian(rng, fam.n)
     t = hv._tensor_from(fam, e)
-    expected = inner(reduce(tensor_vec, xs + [np.conj(y)]), t)
+    expected = np.vdot(t, reduce(np.kron, xs + [np.conj(y)]))
     assert abs(expected) >= 1e-3 * family_scale(fam) * np.prod(
         [np.linalg.norm(x) for x in xs]) * np.linalg.norm(y)
     assert abs(hv._tensor_pairing(xs, y, t) - expected) <= 1e-12 * abs(expected)
