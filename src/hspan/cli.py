@@ -20,7 +20,7 @@ from .errors import BudgetExceededError
 from .instances import (SCHEMA_VERSION, dump_instance, generate_family,
                         load_instance, matrix_to_pairs)
 from .spans import (basis_product_oracle, hadamard_span, psd_hadamard_span,
-                    random_sample_span)
+                    random_sample_span, sample_count)
 from .subspace import ToleranceConfig, subspace_distance
 from .verify import verify_all
 
@@ -112,7 +112,7 @@ def _run_compare(family, kind, cfg, args):
         samples = None
         oracle = basis_product_oracle(family, cfg)
     else:
-        samples = args.samples if args.samples is not None else 2 * family.n + 8
+        samples = args.samples if args.samples is not None else sample_count(family.n)
         oracle = random_sample_span(family, samples, cfg)
     distance = subspace_distance(span, oracle)
     payload = {

@@ -87,12 +87,16 @@ def write_instance(path, family: MatrixFamily, kind: str) -> None:
         fh.write(dump_instance(family, kind))
 
 
-def _parse_entry(entry, where: str) -> complex:
+def _parse_entry(entry) -> complex:
     if (not isinstance(entry, list) or len(entry) != 2
             or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)):
-        raise InstanceFormatError(f"{where}: entry must be a [re, im] number pair, got {entry!r}")
-    if not (math.isfinite(entry[0]) and math.isfinite(entry[1])):
-        raise InstanceFormatError(f"{where}: non-finite entry {entry!r}")
+        raise InstanceFormatError(f"entry must be a [re, im] number pair, got {entry!r}")
+    try:
+        finite = math.isfinite(entry[0]) and math.isfinite(entry[1])
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise InstanceFormatError(f"non-finite entry {entry!r}")
     return complex(entry[0], entry[1])
 
 
@@ -127,7 +131,11 @@ def parse_instance(obj) -> tuple[MatrixFamily, str]:
             if not isinstance(row, list) or len(row) != n:
                 raise InstanceFormatError(f"matrix {mi + 1} row {ri + 1} must have {n} entries")
             for ci, entry in enumerate(row):
-                m[ri, ci] = _parse_entry(entry, f"matrix {mi + 1} row {ri + 1} col {ci + 1}")
+                try:
+                    m[ri, ci] = _parse_entry(entry)
+                except InstanceFormatError as exc:
+                    raise InstanceFormatError(
+                        f"matrix {mi + 1} row {ri + 1} col {ci + 1}: {exc}") from None
         mats.append(m)
     try:
         family = PsdFamily(mats) if kind == "psd" else MatrixFamily(mats)

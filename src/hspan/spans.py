@@ -124,23 +124,29 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace
     return range_basis(_face_split(list(family)), cfg)
 
 
-def random_sample_span(family: MatrixFamily, samples: int, cfg: ToleranceConfig) -> Subspace:
-    """Span of `samples` random family members, one Gaussian x_j per slot.
+def sample_count(n: int) -> int:
+    """2n + 8, the default sample count of both samplers: twice the top rank, plus 8."""
+    return 2 * n + 8
 
-    Deterministic given cfg.seed. Sample s uses the s-th child seed, so the
-    drawn vectors for the first s samples do not depend on the total count.
-    """
+
+def _sample_span(family, cfg, stream, samples, draw) -> Subspace:
+    """range_basis of `samples` members (B_1 x_1) o ... o (B_k x_k); member s
+    takes xs = draw(rng), rng seeded by the s-th child of (cfg.seed, stream)."""
+    cols = np.empty((family.n, samples), dtype=np.complex128)
+    for s, child in enumerate(seed_children(cfg.seed, stream, samples)):
+        xs = draw(np.random.default_rng(child))
+        cols[:, s] = reduce(np.multiply, (b @ x for b, x in zip(family, xs)))
+    return range_basis(cols, cfg)
+
+
+def random_sample_span(family: MatrixFamily, samples: int, cfg: ToleranceConfig) -> Subspace:
+    """Span of `samples` random family members, one Gaussian x_j per slot,
+    drawn in slot order; deterministic given cfg.seed."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     n, k = family.n, family.k
-    cols = np.empty((n, samples), dtype=np.complex128)
-    for s, child in enumerate(seed_children(cfg.seed, STREAM_SAMPLE, samples)):
-        rng = np.random.default_rng(child)
-        col = np.ones(n, dtype=np.complex128)
-        for b in family:
-            col = col * (b @ complex_gaussian(rng, n))
-        cols[:, s] = col
-    return range_basis(cols, cfg)
+    return _sample_span(family, cfg, STREAM_SAMPLE, samples,
+                        lambda rng: [complex_gaussian(rng, n) for _ in range(k)])
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -167,45 +173,14 @@ def psd_hadamard_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:
     return range_basis(reduce(np.multiply, family), cfg)
 
 
-def single_vector_sample_span(family: PsdFamily, cfg: ToleranceConfig,
-                              stability_window: int = 5,
-                              max_samples: int | None = None) -> Subspace:
-    """Span of (A_1 x) o ... o (A_k x) over random single vectors x.
+def single_vector_sample_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:
+    """Span of (A_1 x) o ... o (A_k x) over sample_count(n) random vectors x.
 
-    Draws Gaussian x until the accumulated rank has not moved for
-    `stability_window` consecutive samples, or `max_samples` (default 10n)
-    is reached. For PSD members this span equals psd_hadamard_span with
-    probability 1.
+    One Gaussian x per sample fills every slot. For PSD members this span
+    equals psd_hadamard_span with probability 1.
     """
     if not isinstance(family, PsdFamily):
         raise NotPsdError("single_vector_sample_span needs a PsdFamily")
-    if stability_window < 1:
-        raise ValueError(f"stability_window must be >= 1, got {stability_window}")
-    n = family.n
-    if max_samples is None:
-        max_samples = 10 * n
-    if max_samples < 1:
-        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
-
-    children = seed_children(cfg.seed, STREAM_SINGLE, max_samples)
-    cols = np.empty((n, max_samples), dtype=np.complex128)
-    span = range_basis(np.zeros((n, 0), dtype=np.complex128), cfg)
-    stable = 0
-    drawn = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        x = complex_gaussian(rng, n)
-        col = np.ones(n, dtype=np.complex128)
-        for a in family:
-            col = col * (a @ x)
-        cols[:, drawn] = col
-        drawn += 1
-        grown = range_basis(cols[:, :drawn], cfg)
-        if grown.rank == span.rank:
-            stable += 1
-        else:
-            stable = 0
-        span = grown
-        if stable >= stability_window:
-            break
-    return span
+    n, k = family.n, family.k
+    return _sample_span(family, cfg, STREAM_SINGLE, sample_count(n),
+                        lambda rng: [complex_gaussian(rng, n)] * k)

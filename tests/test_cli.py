@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hspan.cli as cli
-from hspan import MatrixFamily, write_instance
+from hspan import MatrixFamily, instance_dict, write_instance
 
 
 def run_cli(*args, env_extra=None):
@@ -129,6 +129,17 @@ def test_malformed_file_exits_two(tmp_path):
         assert code == 2
         assert out == ""
         assert err
+
+
+def test_oversized_integer_entry_exits_two(tmp_path):
+    obj = instance_dict(MatrixFamily([np.eye(2)]), "general")
+    obj["matrices"][0][0][0] = [10**400, 0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("span", path)
+    assert code == 2
+    assert out == ""
+    assert "non-finite entry" in err and "Traceback" not in err
 
 
 def test_deeply_nested_json_exits_two(tmp_path):

@@ -1,8 +1,16 @@
+import copy
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import hspan.cli as cli
 from hspan import (InstanceFormatError, PsdFamily, generate_family,
                    instance_dict, load_instance, parse_instance,
                    write_instance)
@@ -91,6 +99,8 @@ def test_instance_dict_shape():
     (lambda o: o["matrices"][0][0].__setitem__(0, [1.0, "x"]), "pair"),
     (lambda o: o["matrices"][0][0].__setitem__(0, [True, 0.0]), "pair"),
     (lambda o: o["matrices"][0][0].__setitem__(0, [1e400, 0.0]), "finite"),
+    pytest.param(lambda o: o["matrices"][0][0].__setitem__(0, [10**400, 0]), "finite",
+                 id="oversized-int"),
     (lambda o: o.update(n=True), "positive"),
     (lambda o: o.update(k=True), "positive"),
 ])
@@ -124,3 +134,79 @@ def test_load_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InstanceFormatError, match="JSON"):
         load_instance(path)
+
+
+LEAVES = st.one_of(
+    st.integers(-3, 3), st.sampled_from([10**400, -10**400]),
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+    st.text(max_size=2), st.none(), st.lists(st.integers(-2, 2), max_size=3))
+
+
+def _paths(node, path=()):
+    """The path of every node of a decoded JSON object, root first."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+@st.composite
+def mutated_instances(draw):
+    """A valid instance with n <= 4, then 1-3 mutations: a number or any
+    other node replaced by a leaf, or an element dropped from or added to a
+    list."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["general", "psd"]))
+    obj = instance_dict(generate_family(n, k, kind=kind, seed=draw(st.integers(0, 9))), kind)
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["number", "replace", "drop", "extra"]))
+        if action in ("number", "replace"):
+            paths = [p for p in _paths(obj) if p and (action == "replace"
+                                                      or isinstance(_at(obj, p), float))]
+            if paths:
+                path = draw(st.sampled_from(paths))
+                _at(obj, path[:-1])[path[-1]] = draw(LEAVES)
+            continue
+        lists = [p for p in _paths(obj) if isinstance(_at(obj, p), list)]
+        if not lists:
+            continue
+        target = _at(obj, draw(st.sampled_from(lists)))
+        if action == "drop" and target:
+            target.pop(draw(st.integers(0, len(target) - 1)))
+        elif action == "extra":
+            copies = target and draw(st.booleans())
+            target.append(copy.deepcopy(target[0]) if copies else draw(LEAVES))
+    return obj
+
+
+def _with_entry(entry):
+    obj = instance_dict(generate_family(2, 2, seed=1), "general")
+    obj["matrices"][1][0][1] = entry
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_instances())
+@example(_with_entry([10**400, 0]))
+def test_reader_never_crashes(obj):
+    try:
+        parse_instance(obj)
+    except InstanceFormatError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        for command in ("span", "compare", "verify"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([command, path])
+            assert code in {0, 1, 2, 3}
+            assert "Traceback" not in err.getvalue()

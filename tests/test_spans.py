@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    hadamard_span, psd_hadamard_span, psd_sqrt,
                    random_sample_span, range_basis, single_vector_sample_span,
                    subspace_distance)
-from hspan.rng import complex_gaussian
+from hspan.rng import (STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian,
+                       seed_children)
 
 CFG = ToleranceConfig(seed=42)
 
@@ -216,6 +219,8 @@ def test_psd_hadamard_span_requires_psd_family():
     fam = gaussian_family(3, 2, 12)
     with pytest.raises(NotPsdError):
         psd_hadamard_span(fam, CFG)
+    with pytest.raises(NotPsdError):
+        single_vector_sample_span(fam, CFG)
 
 
 def test_psd_hadamard_span_matches_sqrt_family_span():
@@ -249,13 +254,27 @@ def test_single_vector_span_matches_product_range():
         assert d <= 1e-8
 
 
-def test_single_vector_span_respects_caps():
-    pf = gaussian_psd(6, 1, [6], 40)
-    s = single_vector_sample_span(pf, CFG, max_samples=2)
-    assert s.rank <= 2
-    with pytest.raises(ValueError):
-        single_vector_sample_span(pf, CFG, stability_window=0)
-    with pytest.raises(ValueError):
-        single_vector_sample_span(pf, CFG, max_samples=0)
-    with pytest.raises(NotPsdError):
-        single_vector_sample_span(gaussian_family(3, 1, 41), CFG)
+def sampled_columns(family, stream, count, draw):
+    """Column s is (B_1 x_1) o ... o (B_k x_k) at the slot vectors draw(rng),
+    with rng seeded by child s of (CFG.seed, stream)."""
+    cols = []
+    for child in seed_children(CFG.seed, stream, count):
+        xs = draw(np.random.default_rng(child))
+        cols.append(reduce(np.multiply, [b @ x for b, x in zip(family, xs)]))
+    return np.column_stack(cols)
+
+
+def test_random_sample_span_pins_its_draws():
+    fam = gaussian_family(5, 3, 50)
+    cols = sampled_columns(fam, STREAM_SAMPLE, 7,
+                           lambda rng: [complex_gaussian(rng, 5) for _ in range(3)])
+    np.testing.assert_array_equal(random_sample_span(fam, 7, CFG).basis,
+                                  range_basis(cols, CFG).basis)
+
+
+def test_single_vector_span_pins_its_draws():
+    pf = gaussian_psd(5, 3, [2, 5, 4], 51)
+    cols = sampled_columns(pf, STREAM_SINGLE, 2 * 5 + 8,
+                           lambda rng: [complex_gaussian(rng, 5)] * 3)
+    np.testing.assert_array_equal(single_vector_sample_span(pf, CFG).basis,
+                                  range_basis(cols, CFG).basis)
