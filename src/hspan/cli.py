@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import BudgetExceededError
 from .instances import (SCHEMA_VERSION, dump_instance, generate_family,
@@ -190,6 +189,7 @@ def main(argv=None) -> int:
     if jobs == 1 or len(args.files) == 1:
         results = [_run_file(runner, path, args, seed) for path in args.files]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # ~7 ms of start-up, so only here
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_file, runner, path, args, seed) for path in args.files]
             results = [f.result() for f in futures]

@@ -12,8 +12,10 @@ An instance file is a single JSON object:
 
 `matrices` holds k matrices, each a row-major n x n nested list whose entries
 are [re, im] pairs. Floats are written with repr precision, so a generate,
-save, load, save round trip is byte-identical. Files with kind "psd" are
-validated against the PSD invariants on load.
+save, load, save round trip is byte-identical. Loading decodes `matrices`
+in one vectorized pass; only a file that pass rejects is walked entry by
+entry, to name the first bad entry. Files with kind "psd" are validated
+against the PSD invariants on load.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ def generate_family(n: int, k: int, kind: str = "general",
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    """The nested [re, im] lists of a complex matrix, as Python floats."""
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def instance_dict(family: MatrixFamily, kind: str) -> dict:
@@ -100,6 +103,48 @@ def _parse_entry(entry) -> complex:
     return complex(entry[0], entry[1])
 
 
+def _walk_matrices(mats_obj, n: int) -> list:
+    """Decode `matrices` entry by entry; the first bad row or entry raises an
+    InstanceFormatError that names it."""
+    mats = []
+    for mi, rows in enumerate(mats_obj):
+        if not isinstance(rows, list) or len(rows) != n:
+            raise InstanceFormatError(f"matrix {mi + 1} must have {n} rows")
+        m = np.empty((n, n), dtype=np.complex128)
+        for ri, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != n:
+                raise InstanceFormatError(f"matrix {mi + 1} row {ri + 1} must have {n} entries")
+            for ci, entry in enumerate(row):
+                try:
+                    m[ri, ci] = _parse_entry(entry)
+                except InstanceFormatError as exc:
+                    raise InstanceFormatError(
+                        f"matrix {mi + 1} row {ri + 1} col {ci + 1}: {exc}") from None
+        mats.append(m)
+    return mats
+
+
+def _decode_matrices(mats_obj, n: int, k: int):
+    """Decode `matrices` in one vectorized pass: the k x n x n complex128
+    stack, or None when the nesting is not k x n x n x 2 or some entry is not
+    a finite int or float, so that _walk_matrices can name the bad one.
+
+    The float64 pairs are viewed as complex128, which keeps every bit,
+    -0.0 included. json.load yields lists only; other sequences (tuples,
+    arrays) would pass here where the walker rejects them.
+    """
+    try:
+        obj = np.array(mats_obj, dtype=object)
+        if obj.shape != (k, n, n, 2) or not set(map(type, obj.ravel())) <= {float, int}:
+            return None
+        a = obj.astype(np.float64)  # OverflowError for an int beyond float range
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if not np.isfinite(a).all():
+        return None
+    return a.view(np.complex128)[..., 0]
+
+
 def parse_instance(obj) -> tuple[MatrixFamily, str]:
     """Validate a decoded instance object and build the family it describes."""
     if not isinstance(obj, dict):
@@ -122,21 +167,8 @@ def parse_instance(obj) -> tuple[MatrixFamily, str]:
     mats_obj = obj["matrices"]
     if not isinstance(mats_obj, list) or len(mats_obj) != k:
         raise InstanceFormatError(f"matrices must be a list of {k} matrices")
-    mats = []
-    for mi, rows in enumerate(mats_obj):
-        if not isinstance(rows, list) or len(rows) != n:
-            raise InstanceFormatError(f"matrix {mi + 1} must have {n} rows")
-        m = np.empty((n, n), dtype=np.complex128)
-        for ri, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
-                raise InstanceFormatError(f"matrix {mi + 1} row {ri + 1} must have {n} entries")
-            for ci, entry in enumerate(row):
-                try:
-                    m[ri, ci] = _parse_entry(entry)
-                except InstanceFormatError as exc:
-                    raise InstanceFormatError(
-                        f"matrix {mi + 1} row {ri + 1} col {ci + 1}: {exc}") from None
-        mats.append(m)
+    stack = _decode_matrices(mats_obj, n, k)
+    mats = _walk_matrices(mats_obj, n) if stack is None else stack
     try:
         family = PsdFamily(mats) if kind == "psd" else MatrixFamily(mats)
     except ValueError as exc:

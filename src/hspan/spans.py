@@ -84,9 +84,20 @@ def _require_psd(w: np.ndarray, norm: float, name: str) -> None:
         raise NotPsdError(f"{name} has negative eigenvalue {float(w[0]):.3e}")
 
 
+def _hadamard_product(mats, what: str) -> np.ndarray:
+    """Entrywise product of the matrices `mats` yields. Entries too large for
+    float64 raise a ValueError naming `what`, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = reduce(np.multiply, mats)
+    if not np.isfinite(p).all():
+        raise ValueError(f"matrix entries too large: {what} overflows")
+    return p
+
+
 def gram_hadamard(family: MatrixFamily) -> np.ndarray:
     """G = (B_1 B_1*) o ... o (B_k B_k*), Hermitian PSD by the Schur product theorem."""
-    return reduce(np.multiply, (b @ b.conj().T for b in family))
+    return _hadamard_product((b @ b.conj().T for b in family),
+                             "the Gram product (B_1 B_1*) o ... o (B_k B_k*)")
 
 
 def hadamard_span(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
@@ -170,7 +181,7 @@ def psd_hadamard_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:
     """Span of the PSD-family products, computed as range(A_1 o ... o A_k)."""
     if not isinstance(family, PsdFamily):
         raise NotPsdError("psd_hadamard_span needs a PsdFamily")
-    return range_basis(reduce(np.multiply, family), cfg)
+    return range_basis(_hadamard_product(family, "the product A_1 o ... o A_k"), cfg)
 
 
 def single_vector_sample_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:

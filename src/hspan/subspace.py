@@ -91,11 +91,15 @@ class Subspace:
 
 def _hermitian_part(a, name: str = "matrix") -> tuple[np.ndarray, float]:
     """((A + A*) / 2, ||A||_F) for a square A whose Hermitian defect
-    ||A - A*||_F is at most 1e-10 * ||A||_F."""
+    ||A - A*||_F is at most 1e-10 * ||A||_F. An A whose norm overflows
+    float64 is rejected: no tolerance can be scaled by it."""
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm):
+        raise ValueError(f"{name} is too large: ||A||_F overflows")
     defect = float(np.linalg.norm(a - a.conj().T))
     if defect > HERMITIAN_REL_TOL * max(norm, 1e-300):
         raise NotHermitianError(f"{name} is not Hermitian: ||A - A*|| = {defect:.3e}, ||A|| = {norm:.3e}")

@@ -255,8 +255,8 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     else:
         bfam = family
 
+    g, span, e = _complement(bfam, cfg)  # rejects entries whose G overflows
     scale = family_scale(bfam)
-    g, span, e = _complement(bfam, cfg)
 
     checks: dict[str, bool] = {}
     skipped: list[str] = []

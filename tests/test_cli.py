@@ -142,6 +142,29 @@ def test_oversized_integer_entry_exits_two(tmp_path):
     assert "non-finite entry" in err and "Traceback" not in err
 
 
+def test_overflowing_gram_exits_two_without_warnings(tmp_path):
+    obj = instance_dict(MatrixFamily([np.eye(2), np.eye(2)]), "general")
+    obj["matrices"][0][0][0] = [1.7e308, 0]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    for cmd in ("span", "compare", "verify"):
+        code, out, err = run_cli(cmd, path)
+        assert code == 2
+        assert out == ""
+        assert err == (f"hspan {cmd}: {path}: matrix entries too large: "
+                       "the Gram product (B_1 B_1*) o ... o (B_k B_k*) overflows\n")
+
+
+def test_psd_file_with_overflowing_norm_exits_two(tmp_path):
+    path = tmp_path / "huge-psd.json"
+    write_instance(path, MatrixFamily([np.diag([1e200, -1.0, 1.0])]), "psd")
+    code, out, err = run_cli("span", path)
+    assert code == 2
+    assert out == ""
+    assert err == (f"hspan span: {path}: invalid psd family: "
+                   "matrix 1 is too large: ||A||_F overflows\n")
+
+
 def test_deeply_nested_json_exits_two(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
@@ -192,9 +215,10 @@ def test_gen_memory_error_exits_three(monkeypatch, capsys):
 
 
 def test_cli_imports_no_undeclared_dependencies():
-    # scipy and sympy may be installed, but the package declares only numpy
-    code = ("import sys, hspan.cli; "
-            "print(sorted(m for m in ('scipy', 'sympy') if m in sys.modules))")
+    # scipy and sympy may be installed, but the package declares only numpy;
+    # the thread pool is imported only when --jobs asks for one
+    code = ("import sys, hspan.cli; print(sorted(m for m in "
+            "('scipy', 'sympy', 'concurrent.futures') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

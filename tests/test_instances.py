@@ -14,7 +14,7 @@ import hspan.cli as cli
 from hspan import (InstanceFormatError, PsdFamily, generate_family,
                    instance_dict, load_instance, parse_instance,
                    write_instance)
-from hspan.instances import dump_instance
+from hspan.instances import _decode_matrices, _walk_matrices, dump_instance
 
 
 def test_generate_validates_arguments():
@@ -210,3 +210,70 @@ def test_reader_never_crashes(obj):
                 code = cli.main([command, path])
             assert code in {0, 1, 2, 3}
             assert "Traceback" not in err.getvalue()
+
+
+DECODE_BASE = ('[[[[1.0, 0.5], [0, -1]], [[2.0, 0.0], [0.25, 3]]],'
+               ' [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]')
+
+
+def _swapped(path, snippet):
+    """DECODE_BASE with the node at `path` replaced by the JSON `snippet`."""
+    matrices = json.loads(DECODE_BASE)
+    _at(matrices, path[:-1])[path[-1]] = json.loads(snippet)
+    return matrices
+
+
+def _bad_entry(snippet, message):
+    """A case with entry (2, 1, 2) replaced and the walker's message for it."""
+    return _swapped((1, 0, 1), snippet), f"matrix 2 row 1 col 2: {message}"
+
+
+@pytest.mark.parametrize("kind,matrices,message", [
+    pytest.param("general", [[[[0.5, -2.0]]]], None, id="1x1"),
+    pytest.param("general", json.loads(DECODE_BASE)[:1], None, id="k1"),
+    pytest.param("general", json.loads("[[[[1, 0], [2, -3]], [[0, 7], [-4, 1]]]]"), None,
+                 id="integers"),
+    pytest.param("general", json.loads("[[[[-0.0, 0.0], [0.0, -0.0]], [[-0.0, -0.0], [1, -0.0]]]]"),
+                 None, id="negative-zero"),
+    pytest.param("general", [[[[5e-324, -2.5e-310], [2.2250738585072014e-308, 0.0]],
+                              [[-5e-324, 1e-320], [1.0, -4e-323]]]], None, id="subnormal"),
+    pytest.param("psd", instance_dict(generate_family(3, 2, kind="psd", seed=4), "psd")["matrices"],
+                 None, id="psd"),
+    pytest.param("general", *_bad_entry(
+        "[true, 0.5]", "entry must be a [re, im] number pair, got [True, 0.5]"), id="true"),
+    pytest.param("general", *_bad_entry(
+        "[0.5, false]", "entry must be a [re, im] number pair, got [0.5, False]"), id="false"),
+    pytest.param("general", *_bad_entry(
+        '[1.0, "2.0"]', "entry must be a [re, im] number pair, got [1.0, '2.0']"),
+        id="numeric-string"),
+    pytest.param("general", *_bad_entry(
+        "[null, 0.0]", "entry must be a [re, im] number pair, got [None, 0.0]"), id="null"),
+    pytest.param("general", *_bad_entry("[NaN, 0.0]", "non-finite entry [nan, 0.0]"), id="nan"),
+    pytest.param("general", *_bad_entry("[0.0, -Infinity]", "non-finite entry [0.0, -inf]"),
+                 id="infinity"),
+    pytest.param("general", *_bad_entry(f"[{10**400}, 0]", f"non-finite entry [{10**400}, 0]"),
+                 id="oversized-int"),
+    pytest.param("general", _swapped((1, 1), "[[0.0, 0.0]]"), "matrix 2 row 2 must have 2 entries",
+                 id="ragged-row"),
+    pytest.param("general", *_bad_entry(
+        "[[1.0, 2.0], 0.0]", "entry must be a [re, im] number pair, got [[1.0, 2.0], 0.0]"),
+        id="extra-nesting"),
+    pytest.param("general", *_bad_entry(
+        "[1.0, 2.0, 3.0]", "entry must be a [re, im] number pair, got [1.0, 2.0, 3.0]"),
+        id="three-element-entry"),
+])
+def test_vectorized_decode_matches_walker(kind, matrices, message):
+    n, k = len(matrices[0]), len(matrices)
+    obj = {"schema_version": "1.0", "n": n, "k": k, "kind": kind, "matrices": matrices}
+    fast = _decode_matrices(matrices, n, k)
+    if message is not None:  # falls back, and the walker names the entry
+        assert fast is None
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(obj)
+        assert str(exc.value) == message
+        return
+    walked = np.stack(_walk_matrices(matrices, n))
+    family, _ = parse_instance(obj)
+    # uint64 views compare every bit, np.signbit of each zero included
+    for stack in (fast, np.stack(list(family))):
+        assert np.array_equal(stack.view(np.uint64), walked.view(np.uint64))

@@ -66,6 +66,22 @@ def test_psd_family_rejects_indefinite():
         PsdFamily([-np.eye(3)])
 
 
+@pytest.mark.parametrize("diag", [[1e160, -1e150, 1.0], [1e200, -1.0, 1.0]])
+def test_psd_family_rejects_overflowing_norm(diag):
+    # ||A||_F overflows, so no PSD tolerance scaled by it means anything
+    with pytest.raises(ValueError, match="too large"):
+        PsdFamily([np.diag(diag)])
+
+
+def test_hadamard_products_reject_overflow(recwarn):
+    with pytest.raises(ValueError, match="Gram product .* overflows"):
+        gram_hadamard(MatrixFamily([np.diag([1.7e308, 1.0]), np.eye(2)]))
+    big = PsdFamily([np.diag([1e100, 1.0])] * 4)
+    with pytest.raises(ValueError, match="A_1 o ... o A_k overflows"):
+        psd_hadamard_span(big, CFG)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_gram_hadamard_identity():
     fam = MatrixFamily([np.eye(3)])
     np.testing.assert_allclose(gram_hadamard(fam), np.eye(3))
