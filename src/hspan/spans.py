@@ -32,6 +32,7 @@ from .subspace import (Subspace, ToleranceConfig, _hermitian_part, as_matrix,
 
 PSD_REL_TOL = 1e-10
 ORACLE_COLUMN_BUDGET = 65536
+DRAW_ENTRY_BUDGET = 10_000_000
 
 
 class MatrixFamily:
@@ -140,14 +141,29 @@ def sample_count(n: int) -> int:
     return 2 * n + 8
 
 
-def _sample_span(family, cfg, stream, samples, draw) -> Subspace:
-    """range_basis of `samples` members (B_1 x_1) o ... o (B_k x_k); member s
-    takes xs = draw(rng), rng seeded by the s-th child of (cfg.seed, stream)."""
-    cols = np.empty((family.n, samples), dtype=np.complex128)
+def _members(family, xs) -> np.ndarray:
+    """(B_1 X_1) o ... o (B_k X_k); column i is the member at column i of the n x t stacks X_j."""
+    return reduce(np.multiply, (b @ x for b, x in zip(family, xs)))
+
+
+def _require_draw_budget(rows: int, count: int) -> None:
+    """Refuse `count` draws of `rows` entries each above DRAW_ENTRY_BUDGET,
+    before any child seed is spawned or any stack allocated."""
+    if rows * count > DRAW_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"{count} draws need {rows} x {count} = {rows * count} stack entries, "
+            f"budget is {DRAW_ENTRY_BUDGET}")
+
+
+def _sample_span(family, cfg, stream, samples, shared) -> Subspace:
+    """range_basis of `samples` members. Sample s draws, from the s-th child of
+    (cfg.seed, stream), one x shared by every slot, or k slot vectors in order."""
+    per_child = 1 if shared else family.k
+    _require_draw_budget(per_child * family.n, samples)
+    xs = np.empty((per_child, family.n, samples), dtype=np.complex128)
     for s, child in enumerate(seed_children(cfg.seed, stream, samples)):
-        xs = draw(np.random.default_rng(child))
-        cols[:, s] = reduce(np.multiply, (b @ x for b, x in zip(family, xs)))
-    return range_basis(cols, cfg)
+        xs[:, :, s] = complex_gaussian(np.random.default_rng(child), per_child, family.n)
+    return range_basis(_members(family, [xs[0]] * family.k if shared else xs), cfg)
 
 
 def random_sample_span(family: MatrixFamily, samples: int, cfg: ToleranceConfig) -> Subspace:
@@ -155,9 +171,7 @@ def random_sample_span(family: MatrixFamily, samples: int, cfg: ToleranceConfig)
     drawn in slot order; deterministic given cfg.seed."""
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    n, k = family.n, family.k
-    return _sample_span(family, cfg, STREAM_SAMPLE, samples,
-                        lambda rng: [complex_gaussian(rng, n) for _ in range(k)])
+    return _sample_span(family, cfg, STREAM_SAMPLE, samples, shared=False)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -192,6 +206,4 @@ def single_vector_sample_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspa
     """
     if not isinstance(family, PsdFamily):
         raise NotPsdError("single_vector_sample_span needs a PsdFamily")
-    n, k = family.n, family.k
-    return _sample_span(family, cfg, STREAM_SINGLE, sample_count(n),
-                        lambda rng: [complex_gaussian(rng, n)] * k)
+    return _sample_span(family, cfg, STREAM_SINGLE, sample_count(family.n), shared=True)

@@ -26,6 +26,12 @@ vector norms involved, and judged against the module tolerances below: exact
 algebraic identities at 1e-13 or 1e-12, identities that pass through a rank
 decision at 1e-7 or 1e-8.
 
+The random trials run side by side. The draws of t trials are n x t stacks
+X_1 .. X_k and Y; the family side forms all t members at once as
+(B_1 X_1) o ... o (B_k X_k), and the pairing's tensor side computes
+W = T Y once, with T viewed as n^k x n, then contracts W against conj(X_1),
+.., conj(X_k), one slot at a time.
+
 Two conventions hold throughout. The inner product
 <u, v> = sum_i u[i] * conj(v[i]) = np.vdot(v, u) is linear in its first slot
 and conjugate-linear in its second. Tensors are row-major and np.kron is
@@ -43,8 +49,9 @@ import numpy as np
 
 from .errors import BudgetExceededError, DimensionError
 from .rng import STREAM_ORTHO, STREAM_PAIRING, complex_gaussian, seed_children
-from .spans import (MatrixFamily, PsdFamily, _face_split, gram_hadamard,
-                    psd_hadamard_span, psd_sqrt)
+from .spans import (MatrixFamily, PsdFamily, _face_split, _members,
+                    _require_draw_budget, gram_hadamard, psd_hadamard_span,
+                    psd_sqrt)
 from .subspace import (ToleranceConfig, as_vector, complement_projector,
                        range_basis, subspace_distance)
 
@@ -58,8 +65,13 @@ TENSOR_ENTRY_BUDGET = 1_000_000
 
 
 def family_scale(family: MatrixFamily) -> float:
-    """prod_i ||B_i||_F, the natural magnitude of the family."""
-    return float(np.prod([np.linalg.norm(b) for b in family]))
+    """prod_i ||B_i||_F, the natural magnitude of the family. A family whose
+    scale^2, the norm-trace tolerance's unit, overflows is rejected."""
+    with np.errstate(over="ignore"):
+        scale = float(np.prod([np.linalg.norm(b) for b in family]))
+    if scale * scale == np.inf:
+        raise ValueError("matrix entries too large: (prod_i ||B_i||_F)^2 overflows")
+    return scale
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,11 @@ def column_identity_residual(family: MatrixFamily) -> float:
 
 
 def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
-    denom = max(1.0, float(np.linalg.norm(g)))
+    with np.errstate(over="ignore"):
+        g_norm = float(np.linalg.norm(g))
+    if g_norm == np.inf:
+        raise ValueError("matrix entries too large: ||G||_F overflows")
+    denom = max(1.0, g_norm)
     worst = 0.0
     for i in range(family.n):
         col = reduce(np.multiply, (b @ b[i].conj() for b in family))
@@ -160,35 +176,36 @@ def _norm_trace(t, e, g) -> tuple[float, complex]:
     return float(np.sum(np.abs(t) ** 2)), complex(np.trace(e @ g))
 
 
-def _tensor_pairing(xs, y, t) -> complex:
-    """<x_1 (x) ... (x) x_k (x) conj(y), T>, with T viewed as n^k x n.
-
-    Contracting the last slot first gives <x_1 (x) ... (x) x_k, T y>, so no
-    n^(k+1)-long product vector is formed.
-    """
-    return complex(np.vdot(t.reshape(-1, y.shape[0]) @ y, reduce(np.kron, xs)))
+def _tensor_pairing(xs, y, t) -> np.ndarray:
+    """<x_1 (x) ... (x) x_k (x) conj(y), T> per column of the n x t stacks, T viewed
+    as n^k x n. W = T Y, contracted slot by slot against conj(X_j), is its conjugate;
+    no n^(k+1)-long or n^k x t Khatri-Rao product is formed."""
+    n, trials = y.shape
+    w = t.reshape(-1, n) @ y
+    for x in xs:
+        w = np.einsum("ipt,it->pt", w.reshape(n, len(w) // n, trials), np.conj(x))
+    return np.conj(w[0])
 
 
 def _draws(family: MatrixFamily, seed: int, stream: int, trials: int):
-    """Trial vectors (x_1 .. x_k, y), one child seed of (seed, stream) per
-    trial: the k slot vectors are drawn first, then y."""
-    for child in seed_children(seed, stream, trials):
-        rng = np.random.default_rng(child)
-        xs = [complex_gaussian(rng, family.n) for _ in range(family.k)]
-        yield xs, complex_gaussian(rng, family.n)
+    """Trial stacks (X, Y): X is k x n x trials, Y is n x trials. Column i is
+    drawn from the i-th child of (seed, stream), slot vectors first, then y."""
+    draws = np.empty((family.k + 1, family.n, trials), dtype=np.complex128)
+    for i, child in enumerate(seed_children(seed, stream, trials)):
+        draws[:, :, i] = complex_gaussian(np.random.default_rng(child), family.k + 1, family.n)
+    return draws[:-1], draws[-1]
 
 
-def _family_pairing(family, xs, y, e, scale) -> tuple[complex, float]:
-    """(<(B_1 x_1) o ... o (B_k x_k), E y>, scale * prod ||x_j|| * ||y||),
+def _family_pairing(family, xs, y, e, scale) -> tuple[np.ndarray, np.ndarray]:
+    """Per column: (<(B_1 x_1) o ... o (B_k x_k), E y>, scale * prod ||x_j|| * ||y||),
     computed in C^n without the tensor witness."""
-    h = reduce(np.multiply, (b @ x for b, x in zip(family, xs)))
-    norm = scale * float(np.prod([np.linalg.norm(x) for x in xs])) * float(np.linalg.norm(y))
-    return complex(np.vdot(e @ y, h)), norm
+    lhs = np.einsum("it,it->t", _members(family, xs), np.conj(e @ y))
+    return lhs, scale * np.prod(np.linalg.norm(xs, axis=1), axis=0) * np.linalg.norm(y, axis=0)
 
 
-def _pairing_residual(family, xs, y, e, t, scale):
+def _pairing_residual(family, xs, y, e, t, scale) -> np.ndarray:
     lhs, norm = _family_pairing(family, xs, y, e, scale)
-    return abs(lhs - _tensor_pairing(xs, y, t)) / max(1.0, norm)
+    return np.abs(lhs - _tensor_pairing(xs, y, t)) / np.maximum(1.0, norm)
 
 
 def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig) -> float:
@@ -211,18 +228,15 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
     _require_tensor_budget(family)
     _, _, e = _complement(family, cfg)
     t = _tensor_from(family, e)
-    return _pairing_residual(family, xs, y, e, t, family_scale(family))
+    return float(_pairing_residual(family, np.stack(xs)[..., None], y[:, None], e, t,
+                                   family_scale(family))[0])
 
 
-def _orthogonality_residuals(family, trials, cfg, e, scale):
-    out = []
-    for xs, y in _draws(family, cfg.seed, STREAM_ORTHO, trials):
-        lhs, norm = _family_pairing(family, xs, y, e, scale)
-        if norm == 0.0:
-            out.append(0.0 if lhs == 0.0 else float("inf"))
-        else:
-            out.append(abs(lhs) / norm)
-    return out
+def _orthogonality_residuals(family, trials, cfg, e, scale) -> list[float]:
+    lhs, norm = _family_pairing(family, *_draws(family, cfg.seed, STREAM_ORTHO, trials), e, scale)
+    out = np.abs(lhs) / np.where(norm == 0.0, 1.0, norm)
+    out[(norm == 0.0) & (lhs != 0.0)] = np.inf
+    return out.tolist()
 
 
 def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig) -> list[float]:
@@ -233,6 +247,7 @@ def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig)
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_draw_budget((family.k + 1) * family.n, trials)
     _, _, e = _complement(family, cfg)
     return _orthogonality_residuals(family, trials, cfg, e, family_scale(family))
 
@@ -248,6 +263,11 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     """
     if pairing_trials < 0 or orthogonality_trials < 1:
         raise ValueError("trial counts out of range")
+    n, k = family.n, family.k
+    with_tensor = n ** (k + 1) <= TENSOR_ENTRY_BUDGET
+    _require_draw_budget((k + 1) * n, orthogonality_trials)
+    if with_tensor:  # a pairing trial also holds a column of T Y, n^k entries
+        _require_draw_budget((k + 1) * n + n ** k, pairing_trials)
     psd_input = isinstance(family, PsdFamily)
     if psd_input:
         product_span = psd_hadamard_span(family, cfg)
@@ -266,7 +286,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
 
     tensor_norm_sq = trace_eg = norm_trace_gap = None
     pairing_residuals: list[float] = []
-    if bfam.n ** (bfam.k + 1) <= TENSOR_ENTRY_BUDGET:
+    if with_tensor:
         t = _tensor_from(bfam, e)
         tensor_norm_sq, trace_eg = _norm_trace(t, e, g)
         norm_trace_gap = abs(tensor_norm_sq - trace_eg.real)
@@ -275,8 +295,8 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
                                 and tensor_norm_sq <= NORM_TRACE_TOL * s2
                                 and abs(trace_eg.real) <= NORM_TRACE_TOL * s2
                                 and abs(trace_eg.imag) <= NORM_TRACE_IMAG_TOL * s2)
-        pairing_residuals = [_pairing_residual(bfam, xs, y, e, t, scale)
-                             for xs, y in _draws(bfam, cfg.seed, STREAM_PAIRING, pairing_trials)]
+        pairing_residuals = _pairing_residual(
+            bfam, *_draws(bfam, cfg.seed, STREAM_PAIRING, pairing_trials), e, t, scale).tolist()
         checks["pairing"] = max(pairing_residuals, default=0.0) <= PAIRING_TOL
     else:
         skipped.extend(["norm_trace", "pairing"])

@@ -155,6 +155,31 @@ def test_overflowing_gram_exits_two_without_warnings(tmp_path):
                        "the Gram product (B_1 B_1*) o ... o (B_k B_k*) overflows\n")
 
 
+def test_overflowing_verification_scale_exits_two(tmp_path):
+    # G = diag(1e308, 1e308) is finite, but (prod_i ||B_i||_F)^2 is not
+    path = tmp_path / "scale.json"
+    write_instance(path, MatrixFamily([np.diag([1e154, 1.0]), np.diag([1.0, 1e154])]), "general")
+    code, out, err = run_cli("verify", path)
+    assert code == 2
+    assert out == ""
+    assert err == (f"hspan verify: {path}: matrix entries too large: "
+                   "(prod_i ||B_i||_F)^2 overflows\n")
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("compare", "--mode", "random", "--samples"), 2 * 4),
+    (("verify", "--trials"), 3 * 4),
+    (("verify", "--pairing-trials"), 3 * 4 + 4 ** 2),
+])
+def test_oversized_draw_counts_exit_three(instance, argv, rows):
+    count = 10**9
+    code, out, err = run_cli(argv[0], instance, *argv[1:], count)
+    assert code == 3
+    assert out == ""
+    assert err == (f"hspan {argv[0]}: {instance}: {count} draws need {rows} x {count} = "
+                   f"{rows * count} stack entries, budget is 10000000\n")
+
+
 def test_psd_file_with_overflowing_norm_exits_two(tmp_path):
     path = tmp_path / "huge-psd.json"
     write_instance(path, MatrixFamily([np.diag([1e200, -1.0, 1.0])]), "psd")

@@ -270,27 +270,70 @@ def test_single_vector_span_matches_product_range():
         assert d <= 1e-8
 
 
-def sampled_columns(family, stream, count, draw):
-    """Column s is (B_1 x_1) o ... o (B_k x_k) at the slot vectors draw(rng),
-    with rng seeded by child s of (CFG.seed, stream)."""
-    cols = []
+def sampled_stacks(stream, count, per_child, n):
+    """Stack p, column s: the p-th of `per_child` vectors drawn one call at a
+    time from child s of (CFG.seed, stream)."""
+    draws = []
     for child in seed_children(CFG.seed, stream, count):
-        xs = draw(np.random.default_rng(child))
-        cols.append(reduce(np.multiply, [b @ x for b, x in zip(family, xs)]))
-    return np.column_stack(cols)
+        rng = np.random.default_rng(child)
+        draws.append([complex_gaussian(rng, n) for _ in range(per_child)])
+    return np.stack([np.column_stack(vs) for vs in zip(*draws)])
 
 
 def test_random_sample_span_pins_its_draws():
     fam = gaussian_family(5, 3, 50)
-    cols = sampled_columns(fam, STREAM_SAMPLE, 7,
-                           lambda rng: [complex_gaussian(rng, 5) for _ in range(3)])
+    stacks = sampled_stacks(STREAM_SAMPLE, 7, 3, 5)
+    cols = reduce(np.multiply, [b @ x for b, x in zip(fam, stacks)])
     np.testing.assert_array_equal(random_sample_span(fam, 7, CFG).basis,
                                   range_basis(cols, CFG).basis)
 
 
 def test_single_vector_span_pins_its_draws():
     pf = gaussian_psd(5, 3, [2, 5, 4], 51)
-    cols = sampled_columns(pf, STREAM_SINGLE, 2 * 5 + 8,
-                           lambda rng: [complex_gaussian(rng, 5)] * 3)
+    (x,) = sampled_stacks(STREAM_SINGLE, 2 * 5 + 8, 1, 5)
+    cols = reduce(np.multiply, [a @ x for a in pf])
     np.testing.assert_array_equal(single_vector_sample_span(pf, CFG).basis,
                                   range_basis(cols, CFG).basis)
+
+
+def sampler_cases():
+    for k in (1, 2, 4):
+        yield pytest.param(gaussian_family(5, k, 52 + k), False, id=f"random-5x{k}")
+    yield pytest.param(gaussian_psd(5, 3, [2, 5, 4], 57), True, id="single-psd-5x3")
+
+
+@pytest.mark.parametrize("fam, shared", list(sampler_cases()))
+def test_sampler_matches_per_sample_reference(fam, shared, monkeypatch):
+    # the sample matrix, one GEMM per slot, against one matvec per slot and sample
+    seen = []
+    monkeypatch.setattr(hspan.spans, "range_basis", lambda a, cfg: seen.append(a) or range_basis(a, cfg))
+    n, k = fam.n, fam.k
+    if shared:
+        span, stream, count = single_vector_sample_span(fam, CFG), STREAM_SINGLE, 2 * n + 8
+    else:
+        span, stream, count = random_sample_span(fam, 9, CFG), STREAM_SAMPLE, 9
+    (batched,) = seen
+    assert batched.shape == (n, count)
+    cols = []
+    for s, child in enumerate(seed_children(CFG.seed, stream, count)):
+        rng = np.random.default_rng(child)
+        xs = [complex_gaussian(rng, n)] * k if shared else [complex_gaussian(rng, n) for _ in range(k)]
+        cols.append(reduce(np.multiply, [b @ x for b, x in zip(fam, xs)]))
+        scale = np.prod([np.linalg.norm(b) * np.linalg.norm(x) for b, x in zip(fam, xs)])
+        assert np.linalg.norm(batched[:, s] - cols[-1]) <= 1e-12 * scale
+    reference = range_basis(np.column_stack(cols), CFG)
+    assert span.rank == reference.rank
+    assert subspace_distance(span, reference) <= 1e-8
+
+
+def test_samplers_refuse_oversized_draws_before_seeding(monkeypatch):
+    def no_seeds(*args):
+        raise AssertionError("seed_children ran")
+
+    monkeypatch.setattr(hspan.spans, "seed_children", no_seeds)
+    fam = gaussian_family(4, 3, 58)
+    with pytest.raises(BudgetExceededError, match="budget is 10000000"):
+        random_sample_span(fam, hspan.spans.DRAW_ENTRY_BUDGET // 12 + 1, CFG)
+    monkeypatch.setattr(hspan.spans, "DRAW_ENTRY_BUDGET", 4 * 16 - 1)
+    with pytest.raises(BudgetExceededError):  # one 4 x (2n + 8) stack
+        single_vector_sample_span(PsdFamily([np.eye(4)] * 3), CFG)

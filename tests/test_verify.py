@@ -1,17 +1,21 @@
 import json
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
 
 import families
+import hspan.spans
 import hspan.verify as hv
 from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    PsdFamily, ToleranceConfig, column_identity_residual,
-                   family_scale, norm_trace_identity, orthogonality_check,
-                   pairing_identity_residual, psd_sqrt, tensor_witness,
-                   verify_all)
-from hspan.rng import STREAM_PAIRING, complex_gaussian, seed_children
+                   complement_projector, family_scale, gram_hadamard,
+                   norm_trace_identity, orthogonality_check,
+                   pairing_identity_residual, psd_sqrt, range_basis,
+                   tensor_witness, verify_all)
+from hspan.rng import (STREAM_ORTHO, STREAM_PAIRING, complex_gaussian,
+                       seed_children)
 
 CFG = ToleranceConfig(seed=7)
 
@@ -121,16 +125,22 @@ def test_tensor_from_matches_kron_sum_definition(fam, m):
 @pytest.mark.parametrize("fam, m", list(witness_cases()))
 def test_pairing_identity_with_hermitian_non_projector(fam, m):
     # the identity needs E Hermitian, not idempotent: both sides are O(1) here
+    # three trials side by side: column i of each stack holds trial i's
+    # x_1 .. x_k, y, drawn one vector at a time
     e = m + m.conj().T
     rng = np.random.default_rng(95)
-    xs = [complex_gaussian(rng, fam.n) for _ in range(fam.k)]
-    y = complex_gaussian(rng, fam.n)
+    draws = [[complex_gaussian(rng, fam.n) for _ in range(fam.k + 1)] for _ in range(3)]
+    *xs, y = [np.column_stack(vs) for vs in zip(*draws)]
     t = hv._tensor_from(fam, e)
-    expected = np.vdot(t, reduce(np.kron, xs + [np.conj(y)]))
-    assert abs(expected) >= 1e-3 * family_scale(fam) * np.prod(
-        [np.linalg.norm(x) for x in xs]) * np.linalg.norm(y)
-    assert abs(hv._tensor_pairing(xs, y, t) - expected) <= 1e-12 * abs(expected)
-    assert hv._pairing_residual(fam, xs, y, e, t, family_scale(fam)) <= hv.PAIRING_TOL
+    paired = hv._tensor_pairing(xs, y, t)
+    assert paired.shape == (3,)
+    for i in range(3):
+        xi, yi = [x[:, i] for x in xs], y[:, i]
+        expected = np.vdot(t, reduce(np.kron, xi + [np.conj(yi)]))
+        assert abs(expected) >= 1e-3 * family_scale(fam) * np.prod(
+            [np.linalg.norm(x) for x in xi]) * np.linalg.norm(yi)
+        assert abs(paired[i] - expected) <= 1e-12 * abs(expected)
+    assert max(hv._pairing_residual(fam, xs, y, e, t, family_scale(fam))) <= hv.PAIRING_TOL
 
 
 def test_norm_trace_identity_agrees():
@@ -273,10 +283,83 @@ def test_verify_all_agrees_with_identity_functions(fam):
         fam = MatrixFamily([psd_sqrt(a) for a in fam])
     assert list(rep.orthogonality_residuals) == orthogonality_check(fam, 50, CFG)
     assert (rep.tensor_norm_sq, rep.trace_eg) == norm_trace_identity(fam, CFG)
-    assert len(rep.pairing_residuals) == 10
     # trial i draws x_1 .. x_k and then y from the i-th pairing child seed
-    for residual, child in zip(rep.pairing_residuals, seed_children(CFG.seed, STREAM_PAIRING, 10)):
+    draws = []
+    for child in seed_children(CFG.seed, STREAM_PAIRING, 10):
         rng = np.random.default_rng(child)
-        xs = [complex_gaussian(rng, fam.n) for _ in range(fam.k)]
-        y = complex_gaussian(rng, fam.n)
-        assert residual == pairing_identity_residual(fam, xs, y, CFG)
+        draws.append([complex_gaussian(rng, fam.n) for _ in range(fam.k + 1)])
+    *xs, y = [np.column_stack(vs) for vs in zip(*draws)]
+    _, _, e = hv._complement(fam, CFG)
+    expected = hv._pairing_residual(fam, xs, y, e, hv._tensor_from(fam, e), family_scale(fam))
+    assert list(rep.pairing_residuals) == expected.tolist()
+
+
+def batching_cases():
+    rng = np.random.default_rng(98)
+    yield pytest.param(deficient_family(6, 1, 99), 10, id="deficient-6x1")
+    yield pytest.param(MatrixFamily([complex_gaussian(rng, 5, 5) for _ in range(2)]), 10,
+                       id="general-5x2")
+    yield pytest.param(deficient_family(4, 4, 100), 10, id="deficient-4x4")
+    m1, m2 = complex_gaussian(rng, 5, 2), complex_gaussian(rng, 5, 4)
+    yield pytest.param(PsdFamily([m1 @ m1.conj().T, m2 @ m2.conj().T]), 10, id="psd-5x2")
+    yield pytest.param(deficient_family(5, 2, 101), 0, id="no-pairing-trials")
+
+
+@pytest.mark.parametrize("fam, pairing_trials", list(batching_cases()))
+def test_batched_trials_match_per_trial_reference(fam, pairing_trials):
+    # every trial recomputed alone: k matvecs, one np.vdot, one np.kron
+    rep = verify_all(fam, CFG, pairing_trials=pairing_trials, orthogonality_trials=20)
+    if isinstance(fam, PsdFamily):
+        fam = MatrixFamily([psd_sqrt(a) for a in fam])
+    e = complement_projector(range_basis(gram_hadamard(fam), CFG))
+    t = kron_sum_tensor(fam, e)
+    scale = float(np.prod([np.linalg.norm(b) for b in fam]))
+
+    def trials(stream, count):
+        for child in seed_children(CFG.seed, stream, count):
+            rng = np.random.default_rng(child)
+            xs = [complex_gaussian(rng, fam.n) for _ in range(fam.k)]
+            y = complex_gaussian(rng, fam.n)
+            h = reduce(np.multiply, [b @ x for b, x in zip(fam, xs)])
+            norm = scale * float(np.prod([np.linalg.norm(x) for x in xs])) * np.linalg.norm(y)
+            yield xs, y, complex(np.vdot(e @ y, h)), norm
+
+    pairing = [abs(lhs - np.vdot(t, reduce(np.kron, xs + [np.conj(y)]))) / max(1.0, norm)
+               for xs, y, lhs, norm in trials(STREAM_PAIRING, pairing_trials)]
+    ortho = [abs(lhs) / norm for _, _, lhs, norm in trials(STREAM_ORTHO, 20)]
+    assert len(rep.pairing_residuals) == len(pairing) == pairing_trials
+    assert len(rep.orthogonality_residuals) == len(ortho) == 20
+    # each residual is already divided by its normalizer
+    np.testing.assert_allclose(rep.pairing_residuals, pairing, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rep.orthogonality_residuals, ortho, rtol=0, atol=1e-12)
+    assert rep.checks["pairing"] == (max(pairing, default=0.0) <= hv.PAIRING_TOL)
+    if pairing_trials == 0:
+        assert rep.pairing_residuals == () and rep.checks["pairing"] is True
+    assert rep.checks["orthogonality"] == (max(ortho) <= hv.ORTHOGONALITY_TOL)
+    assert rep.passed
+
+
+def test_verify_all_rejects_overflowing_scales():
+    # G = diag(1e308, 1e308) is finite, but (prod ||B_i||_F)^2 is not, and
+    # ||G||_F overflows for diag(1e77, 1) twice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\(prod_i \|\|B_i\|\|_F\)\^2 overflows"):
+            verify_all(MatrixFamily([np.diag([1e154, 1.0]), np.diag([1.0, 1e154])]), CFG)
+        with pytest.raises(ValueError, match=r"\|\|G\|\|_F overflows"):
+            verify_all(MatrixFamily([np.diag([1e77, 1.0])] * 2), CFG)
+
+
+def test_trial_draws_refused_before_seeding(monkeypatch):
+    def no_seeds(*args):
+        raise AssertionError("seed_children ran")
+
+    monkeypatch.setattr(hv, "seed_children", no_seeds)
+    fam = MatrixFamily([np.eye(4)] * 2)  # trials draw 12 entries, pairing also 16 of T Y
+    budget = hspan.spans.DRAW_ENTRY_BUDGET
+    with pytest.raises(BudgetExceededError):
+        orthogonality_check(fam, budget // 12 + 1, CFG)
+    with pytest.raises(BudgetExceededError):
+        verify_all(fam, CFG, orthogonality_trials=budget // 12 + 1)
+    with pytest.raises(BudgetExceededError):
+        verify_all(fam, CFG, pairing_trials=budget // 28 + 1)
