@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -84,6 +85,14 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+def _config(args, seed: int) -> ToleranceConfig:
+    """The run's ToleranceConfig, which refuses a --rank-tol outside (0, 1).
+    A compare --tol must be a finite distance >= 0."""
+    if args.command == "compare" and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite distance >= 0, got {args.tol}")
+    return ToleranceConfig(rank_rel_tol=args.rank_tol, seed=seed)
+
+
 def _report(command: str, family, kind: str, seed: int, payload: dict, started: float) -> dict:
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -149,27 +158,30 @@ def _run_gen(args, seed) -> int:
     except (ValueError, OSError) as exc:
         print(f"hspan gen: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BudgetExceededError as exc:
+        print(f"hspan gen: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except MemoryError as exc:
         print(f"hspan gen: {_memory_message(exc)}", file=sys.stderr)
         return EXIT_BUDGET
     return EXIT_OK
 
 
-def _run_file(runner, path, args, seed):
+def _run_file(runner, path, args, cfg):
     """Load one file, run `runner(family, kind, cfg, args) -> (code, payload)`
-    on it and wrap the payload in a report; failures map to (exit code,
-    diagnostic). The clock starts before the load."""
+    on it and serialize the report as one line of strict JSON; failures map
+    to (exit code, diagnostic). The clock starts before the load."""
     try:
         started = time.perf_counter()
         family, kind = load_instance(path)
-        cfg = ToleranceConfig(rank_rel_tol=args.rank_tol, seed=seed)
         code, payload = runner(family, kind, cfg, args)
-        return code, _report(args.command, family, kind, seed, payload, started), None
+        report = _report(args.command, family, kind, cfg.seed, payload, started)
+        return code, json.dumps(report, allow_nan=False) + "\n", None
     except BudgetExceededError as exc:
         return EXIT_BUDGET, None, f"{path}: {exc}"
     except MemoryError as exc:
         return EXIT_BUDGET, None, f"{path}: {_memory_message(exc)}"
-    except ValueError as exc:  # InstanceFormatError included
+    except ValueError as exc:  # InstanceFormatError, and a NaN or infinity in the report
         return EXIT_INPUT, None, f"{path}: {exc}"
 
 
@@ -177,6 +189,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         seed = _resolve_seed(args)
+        cfg = None if args.command == "gen" else _config(args, seed)
     except ValueError as exc:
         print(f"hspan: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -187,17 +200,17 @@ def main(argv=None) -> int:
     runner = {"span": _run_span, "compare": _run_compare, "verify": _run_verify}[args.command]
     jobs = max(1, args.jobs)
     if jobs == 1 or len(args.files) == 1:
-        results = [_run_file(runner, path, args, seed) for path in args.files]
+        results = [_run_file(runner, path, args, cfg) for path in args.files]
     else:
         from concurrent.futures import ThreadPoolExecutor  # ~7 ms of start-up, so only here
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_file, runner, path, args, seed) for path in args.files]
+            futures = [pool.submit(_run_file, runner, path, args, cfg) for path in args.files]
             results = [f.result() for f in futures]
 
     worst = EXIT_OK
-    for code, report, diagnostic in results:
-        if report is not None:
-            sys.stdout.write(json.dumps(report) + "\n")
+    for code, line, diagnostic in results:
+        if line is not None:
+            sys.stdout.write(line)
         if diagnostic is not None:
             print(f"hspan {args.command}: {diagnostic}", file=sys.stderr)
         worst = max(worst, code)

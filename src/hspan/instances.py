@@ -25,12 +25,13 @@ import math
 
 import numpy as np
 
-from .errors import InstanceFormatError
+from .errors import BudgetExceededError, InstanceFormatError
 from .rng import STREAM_GEN, complex_gaussian, seed_children
 from .spans import MatrixFamily, PsdFamily
 
 SCHEMA_VERSION = "1.0"
 KINDS = ("general", "psd")
+GEN_ENTRY_BUDGET = 10**6
 
 
 def generate_family(n: int, k: int, kind: str = "general",
@@ -39,7 +40,8 @@ def generate_family(n: int, k: int, kind: str = "general",
 
     rank_deficit d zeroes the last d columns of every general member; a psd
     member is M M* for a Gaussian M of shape n x (n - d). One child seed per
-    matrix, entries drawn row-major.
+    matrix, entries drawn row-major. More than GEN_ENTRY_BUDGET matrix
+    entries (k n^2) are refused before any draw.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -49,6 +51,9 @@ def generate_family(n: int, k: int, kind: str = "general",
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not 0 <= rank_deficit < n:
         raise ValueError(f"rank deficit must satisfy 0 <= d < n, got d={rank_deficit}, n={n}")
+    if k * n * n > GEN_ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"k n^2 = {k * n * n} matrix entries, budget is {GEN_ENTRY_BUDGET}")
     mats = []
     for child in seed_children(seed, STREAM_GEN, k):
         rng = np.random.default_rng(child)

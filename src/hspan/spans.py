@@ -126,7 +126,9 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace
     Column i1..ik of the assembled n x n^k matrix H is
     (B_1 e_{i1}) o ... o (B_k e_{ik}); multilinearity in each slot makes
     these products span the whole family. range_basis rank-reveals H through
-    the n x n factor R^T of H^T = Q R, so no n^k-long factor is built.
+    the n x n factor R^T of H^T = Q R, reduced in column blocks of at most
+    max(TSQR_BLOCK, 2n), so besides H itself (n^(k+1) entries, bounded by
+    ORACLE_COLUMN_BUDGET) it holds one block copy and no n^k-long factor.
     Never touches G = H H*, so it is an independent check of hadamard_span.
     """
     n, k = family.n, family.k

@@ -4,7 +4,9 @@ A subspace of C^n is carried as an orthonormal basis, produced by a
 rank-revealing SVD with a spectral-relative threshold: singular values above
 rank_rel_tol * max(rows, cols) * sigma_1 count toward the rank. A wide n x m
 matrix is first reduced to an n x n factor with the same singular values and
-range, so no m-long factor is built; its cutoff still uses max(n, m).
+range, so no m-long factor is built; its cutoff still uses max(n, m). The
+reduction is a blocked tall-skinny QR (TSQR) over column slices of at most
+max(TSQR_BLOCK, 2n) columns, so A is never copied whole.
 Distances and containment are phrased through orthogonal projectors
 P = Q Q*, which makes every downstream check independent of the particular
 basis chosen.
@@ -20,6 +22,7 @@ from .errors import DimensionError, NotHermitianError
 
 HERMITIAN_REL_TOL = 1e-10
 BASIS_ORTHO_TOL = 1e-10
+TSQR_BLOCK = 1024
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -44,14 +47,18 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical policy: the relative rank threshold and the RNG seed."""
+    """Numerical policy: the relative rank threshold and the RNG seed.
+
+    rank_rel_tol lies in (0, 1): at 1 or above the cutoff is at least
+    sigma_1, so every matrix would get rank 0.
+    """
 
     rank_rel_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
-        if not self.rank_rel_tol > 0:
-            raise ValueError(f"rank_rel_tol must be positive, got {self.rank_rel_tol}")
+        if not 0 < self.rank_rel_tol < 1:
+            raise ValueError(f"rank_rel_tol must lie in (0, 1), got {self.rank_rel_tol}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
@@ -116,19 +123,35 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
+def _wide_factor(a: np.ndarray) -> np.ndarray:
+    """The n x n factor R^T of a wide n x m A, where A^T = Q R.
+
+    TSQR (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34 (2012)
+    A206): each slice of at most b = max(TSQR_BLOCK, 2n) consecutive columns
+    gets the R of its transpose, and the stacked Rs, when there are several,
+    get one more QR. Like the unblocked R, the result F has F F* = A A*, so
+    it keeps A's singular values and left singular vectors (at full rank it
+    is the unblocked R^T up to a unitary diagonal). Only one slice is copied
+    at a time.
+    """
+    b = max(TSQR_BLOCK, 2 * a.shape[0])
+    rs = [np.linalg.qr(a[:, j:j + b].T, mode="r") for j in range(0, a.shape[1], b)]
+    return (rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")).T
+
+
 def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
     """Orthonormal basis of the column space of A under cfg's rank policy.
 
     A wide A is rank-revealed through R^T, where A^T = Q R: A = R^T Q^T and
     Q^T has orthonormal rows, so A and the n x n matrix R^T share singular
-    values and left singular vectors, and Q is never formed.
+    values and left singular vectors (Chan's R-SVD), and Q is never formed.
+    R comes from the blocked reduction of _wide_factor, so A is not copied.
     """
     a = as_matrix(a, "A")
     n, cols = a.shape
     if cols == 0:
         return Subspace(np.zeros((n, 0), dtype=np.complex128), 0.0)
-    reduced = np.linalg.qr(a.T, mode="r").T if cols > n else a
-    u, s, _ = np.linalg.svd(reduced, full_matrices=False)
+    u, s, _ = np.linalg.svd(_wide_factor(a) if cols > n else a, full_matrices=False)
     if s[0] == 0.0:
         return Subspace(np.zeros((n, 0), dtype=np.complex128), 0.0)
     cutoff = cfg.rank_rel_tol * max(a.shape) * s[0]

@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hspan.cli as cli
-from hspan import MatrixFamily, instance_dict, write_instance
+from hspan import MatrixFamily, generate_family, instance_dict, write_instance
+from hspan.spans import DRAW_ENTRY_BUDGET
 
 
 def run_cli(*args, env_extra=None):
@@ -237,6 +242,92 @@ def test_gen_memory_error_exits_three(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == ["hspan gen: out of memory: Unable to allocate 1 TiB"]
+
+
+def test_gen_over_entry_budget_exits_three(capsys):
+    # 10^12 entries: the preflight refuses before anything is drawn or allocated
+    assert cli.main(["gen", str(10**6), "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["hspan gen: k n^2 = 1000000000000 matrix entries, "
+                                "budget is 1000000"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--tol=nan"], "--tol must be a finite distance >= 0, got nan"),
+    (["compare", "--tol=inf"], "--tol must be a finite distance >= 0, got inf"),
+    (["compare", "--tol=-1"], "--tol must be a finite distance >= 0, got -1.0"),
+    (["span", "--rank-tol=1e308"], "rank_rel_tol must lie in (0, 1), got 1e+308"),
+    (["verify", "--rank-tol=1"], "rank_rel_tol must lie in (0, 1), got 1.0"),
+    (["compare", "--rank-tol=nan"], "rank_rel_tol must lie in (0, 1), got nan"),
+    (["span", "--rank-tol=0"], "rank_rel_tol must lie in (0, 1), got 0.0"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "rank-tol-1e308", "rank-tol-1", "rank-tol-nan",
+        "rank-tol-0"])
+def test_bad_tolerance_flags_exit_two(instance, capsys, argv, message):
+    assert cli.main([argv[0], str(instance), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"hspan: {message}"]
+
+
+def test_non_finite_report_exits_two(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "inst.json"
+    write_instance(path, MatrixFamily([np.eye(2)]), "general")
+    monkeypatch.setattr(cli, "_run_span", lambda *args: (0, {"rank_cutoff": float("nan")}))
+    assert cli.main(["span", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"hspan span: {path}: Out of range float values are not JSON compliant"]
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def tiny_instances(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    paths = [str(root / "general.json"), str(root / "psd.json")]
+    write_instance(paths[0], generate_family(2, 2, seed=3), "general")
+    write_instance(paths[1], generate_family(2, 2, kind="psd", rank_deficit=1, seed=4), "psd")
+    return paths
+
+
+# Counts inside the draw budget do work in proportion to the count, so the
+# valid ones stay small; the large ones are all over the budget and refused
+# before anything is drawn.
+COUNTS = st.one_of(st.integers(-10**20, 64), st.integers(DRAW_ENTRY_BUDGET, 10**20))
+TOLERANCES = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                     1e308, 5e-324, 1.0, 1e-10]),
+    st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["span", "basis", "random", "verify"]),
+       samples=COUNTS, trials=COUNTS, pairing_trials=COUNTS,
+       rank_tol=TOLERANCES, tol=TOLERANCES)
+@example(command="basis", samples=0, trials=0, pairing_trials=0, rank_tol=1e-10, tol=float("nan"))
+@example(command="random", samples=8, trials=0, pairing_trials=0, rank_tol=1e-10, tol=float("inf"))
+@example(command="basis", samples=0, trials=0, pairing_trials=0, rank_tol=1e-10, tol=-1.0)
+@example(command="span", samples=0, trials=0, pairing_trials=0, rank_tol=1e308, tol=0.0)
+@example(command="verify", samples=0, trials=5, pairing_trials=2, rank_tol=1e308, tol=0.0)
+def test_flags_never_crash_or_print_non_json(tiny_instances, command, samples, trials,
+                                             pairing_trials, rank_tol, tol):
+    argv = {
+        "span": ["span"],
+        "basis": ["compare", "--mode=basis", f"--tol={tol}"],
+        "random": ["compare", "--mode=random", f"--samples={samples}", f"--tol={tol}"],
+        "verify": ["verify", f"--trials={trials}", f"--pairing-trials={pairing_trials}"],
+    }[command]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([*argv, *tiny_instances, f"--rank-tol={rank_tol}"])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    for line in out.getvalue().splitlines():
+        json.loads(line, parse_constant=_no_constant)
 
 
 def test_cli_imports_no_undeclared_dependencies():

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hspan.cli as cli
-from hspan import (InstanceFormatError, PsdFamily, generate_family,
+import hspan.instances as instances
+from hspan import (BudgetExceededError, InstanceFormatError, PsdFamily, generate_family,
                    instance_dict, load_instance, parse_instance,
                    write_instance)
 from hspan.instances import _decode_matrices, _walk_matrices, dump_instance
@@ -28,6 +29,15 @@ def test_generate_validates_arguments():
         generate_family(3, 1, rank_deficit=3)
     with pytest.raises(ValueError):
         generate_family(3, 1, rank_deficit=-1)
+
+
+def test_generate_refuses_oversized_family_before_drawing(monkeypatch):
+    with pytest.raises(BudgetExceededError, match="budget is 1000000"):
+        generate_family(10**9, 2)  # 3.2e19 bytes: only a preflight can refuse it cleanly
+    monkeypatch.setattr(instances, "GEN_ENTRY_BUDGET", 8)
+    assert generate_family(2, 2).k == 2
+    with pytest.raises(BudgetExceededError, match="k n\\^2 = 9 matrix entries"):
+        generate_family(3, 1)
 
 
 def test_generate_deterministic_per_seed():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hspan import (DimensionError, MatrixFamily, NotHermitianError, Subspace,
                    ToleranceConfig, complement_projector, contains,
                    hermitian_eig, pairing_identity_residual, projector,
                    range_basis, subspace_distance)
+from hspan import subspace
 from hspan.rng import complex_gaussian
 
 from families import face_split
@@ -30,6 +33,12 @@ def test_tolerance_config_rejects_nonpositive():
         ToleranceConfig(rank_rel_tol=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(seed=-1)
+
+
+@pytest.mark.parametrize("tol", [1.0, 1e308, np.inf, np.nan, -0.0, -1e-10])
+def test_tolerance_config_rejects_rank_tol_outside_unit_interval(tol):
+    with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+        ToleranceConfig(rank_rel_tol=tol)
 
 
 def test_subspace_rejects_skewed_basis():
@@ -134,15 +143,64 @@ def wide_cases():
     yield face_split([complex_gaussian(rng, 16, 16), complex_gaussian(rng, 16, 16),
                       complex_gaussian(rng, 16, 16)])
     yield complex_gaussian(rng, 1, 9)
+    # widths that are no multiple of the block; the last block of 16 x 2051
+    # (and of 12 x 100 at block 4) is narrower than n
+    yield complex_gaussian(rng, 12, 100)
+    yield complex_gaussian(rng, 16, 2 * subspace.TSQR_BLOCK + 3)
+    yield face_split([complex_gaussian(rng, 16, 3) @ complex_gaussian(rng, 3, 16),
+                      complex_gaussian(rng, 16, 2) @ complex_gaussian(rng, 2, 16)])
+    yield face_split([GRADED] * 3)
 
 
-@pytest.mark.parametrize("a", list(wide_cases()), ids=lambda a: "x".join(map(str, a.shape)))
+GRADED = np.diag(np.logspace(0, -3, 16)).astype(np.complex128)
+WIDE_CASES = list(wide_cases())
+WIDE_IDS = ["x".join(map(str, a.shape)) for a in WIDE_CASES]
+
+
+@pytest.mark.parametrize("a", WIDE_CASES, ids=WIDE_IDS)
 def test_range_basis_wide_matches_direct_svd(a):
     rank, cutoff, ref = svd_reference(a, CFG)
     s = range_basis(a, CFG)
     assert s.rank == rank
     assert s.tol_used == pytest.approx(cutoff, rel=1e-12)
     assert subspace_distance(s, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("a", WIDE_CASES, ids=WIDE_IDS)
+def test_range_basis_wide_matches_direct_svd_in_small_blocks(a, monkeypatch):
+    # blocks of max(4, 2n) columns: every case wider than 2n runs through many
+    monkeypatch.setattr(subspace, "TSQR_BLOCK", 4)
+    test_range_basis_wide_matches_direct_svd(a)
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+def test_blocked_reduction_keeps_graded_singular_values(rotate, monkeypatch):
+    # H has sigma = logspace(0, -9, 16); the rank under today's cutoff is not
+    # pinned, only that every block size decides it as one block does
+    h = face_split([GRADED] * 3)
+    if rotate:
+        h = np.linalg.qr(complex_gaussian(np.random.default_rng(16), 16, 16))[0] @ h
+    found = {}
+    for block in (h.shape[1], subspace.TSQR_BLOCK, 4):
+        monkeypatch.setattr(subspace, "TSQR_BLOCK", block)
+        found[block] = (np.linalg.svd(subspace._wide_factor(h), compute_uv=False),
+                        range_basis(h, CFG).rank)
+    unblocked, rank = found.pop(h.shape[1])
+    np.testing.assert_allclose(unblocked, np.logspace(0, -9, 16), rtol=0, atol=1e-13)
+    for sigma, blocked_rank in found.values():
+        np.testing.assert_allclose(sigma, unblocked, rtol=0, atol=1e-13 * unblocked[0])
+        assert blocked_rank == rank
+
+
+def test_wide_reduction_makes_no_full_size_copy():
+    a = complex_gaussian(np.random.default_rng(17), 16, 65536)
+    tracemalloc.start()
+    try:
+        range_basis(a, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 4
 
 
 def test_range_basis_wide_zero_matrix():
