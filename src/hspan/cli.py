@@ -189,7 +189,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         seed = _resolve_seed(args)
-        cfg = None if args.command == "gen" else _config(args, seed)
+        # gen has no rank policy, but its seed obeys the same 64-bit rule
+        cfg = ToleranceConfig(seed=seed) if args.command == "gen" else _config(args, seed)
     except ValueError as exc:
         print(f"hspan: {exc}", file=sys.stderr)
         return EXIT_INPUT

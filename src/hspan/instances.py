@@ -11,8 +11,12 @@ An instance file is a single JSON object:
     }
 
 `matrices` holds k matrices, each a row-major n x n nested list whose entries
-are [re, im] pairs. Floats are written with repr precision, so a generate,
-save, load, save round trip is byte-identical. Loading decodes `matrices`
+are [re, im] pairs. The file layout is fixed: 2-space indent, one number
+per line, floats as repr, exactly what json.dumps(..., indent=2) gives for
+instance_dict. dump_instance writes that layout directly, row by row, and a
+test pins it to the json.dumps reference; a generate, save, load, save round
+trip is byte-identical. A file that is not UTF-8 is refused like any other
+malformed file (InstanceFormatError). Loading decodes `matrices`
 in one vectorized pass; only a file that pass rejects is walked entry by
 entry, to name the first bad entry. Files with kind "psd" are validated
 against the PSD invariants on load.
@@ -87,7 +91,24 @@ def instance_dict(family: MatrixFamily, kind: str) -> dict:
 
 
 def dump_instance(family: MatrixFamily, kind: str) -> str:
-    return json.dumps(instance_dict(family, kind), indent=2) + "\n"
+    """The instance file text of a family, byte for byte
+    json.dumps(instance_dict(family, kind), indent=2) + "\\n".
+
+    The layout is written directly: 2-space indent, one number per line,
+    floats as repr. Each row fills one %r template from the row's float64
+    view (re, im, re, im, ...), so no nested lists are built and the pure
+    Python JSON encoder, which indent forces, never runs.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    entry = "[\n          %r,\n          %r\n        ]"
+    row = "      [\n        " + ",\n        ".join([entry] * family.n) + "\n      ]"
+    matrices = ",\n".join(
+        "    [\n" + ",\n".join([row % tuple(r) for r in m.view(np.float64).tolist()]) + "\n    ]"
+        for m in family)
+    return (f'{{\n  "schema_version": {json.dumps(SCHEMA_VERSION)},\n'
+            f'  "n": {family.n},\n  "k": {family.k},\n  "kind": {json.dumps(kind)},\n'
+            f'  "matrices": [\n{matrices}\n  ]\n}}\n')
 
 
 def write_instance(path, family: MatrixFamily, kind: str) -> None:
@@ -191,6 +212,8 @@ def load_instance(path) -> tuple[MatrixFamily, str]:
             obj = json.load(fh)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InstanceFormatError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:

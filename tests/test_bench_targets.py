@@ -1,9 +1,16 @@
-# The benchmark's traced run (bench/tracing.py) wraps hspan functions by
-# patching (module, attribute) pairs listed in its TARGETS. A rename or a
-# removal in hspan would make that run fail only when it is started, so the
-# pairs are checked here against the package under test.
+# Guards on what the benchmark (bench/) uses of hspan, checked against the
+# package under test so that a change to hspan shows here and not only when
+# the benchmark is started. The traced run (bench/tracing.py) wraps hspan
+# functions by patching (module, attribute) pairs listed in its TARGETS; the
+# set-up (bench/workloads.py) writes its files with hspan's generator and
+# writer, and its set-up time is measured on exactly those bytes.
 import importlib
+import json
 from pathlib import Path
+
+import numpy as np
+
+import hspan.instances as instances
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -15,3 +22,24 @@ def test_traced_targets_resolve(monkeypatch):
     for module_name, attr, _, _ in tracing.TARGETS:
         module = importlib.import_module(f"hspan.{module_name}")
         assert callable(getattr(module, attr, None)), f"hspan.{module_name}.{attr}"
+
+
+def test_workload_files_match_json_reference(monkeypatch, tmp_path):
+    """The benchmark's set-up writes the same bytes as the json.dumps
+    reference, and those bytes load back to the members written."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    seed = 5
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        i = min(range(len(workload.specs)),
+                key=lambda j: workload.specs[j].k * workload.specs[j].n ** 2)
+        spec = workload.specs[i]
+        path = workloads.write_files(instances, workload, seed, tmp_path, indices=[i])[i]
+        family = workloads.make_family(instances, spec, workloads.file_seed(seed, name, i))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == json.dumps(instances.instance_dict(family, spec.file_kind), indent=2) + "\n"
+        loaded, kind = instances.load_instance(path)
+        assert kind == spec.file_kind
+        assert np.array_equal(np.stack(list(loaded)).view(np.uint64),
+                              np.stack(list(family)).view(np.uint64))

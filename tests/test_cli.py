@@ -205,6 +205,16 @@ def test_deeply_nested_json_exits_two(tmp_path):
     assert err.count("deep.json") == 1
 
 
+def test_non_utf8_file_exits_two(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli("span", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"hspan span: {path}: not valid UTF-8: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_missing_file_exits_two_naming_it_once(tmp_path):
     code, out, err = run_cli("span", tmp_path / "missing.json")
     assert code == 2
@@ -383,6 +393,23 @@ def test_bad_seed_env_exits_two(instance):
     code, _, err = run_cli("span", instance, env_extra={"HSPAN_SEED": "abc"})
     assert code == 2
     assert "HSPAN_SEED" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["gen", "span", "compare", "verify"])
+def test_seed_outside_64_bits_exits_two(instance, tmp_path, command, seed):
+    out_path = tmp_path / "never.json"
+    args = ("gen", 3, 2, "--out", out_path) if command == "gen" else (command, instance)
+    code, out, err = run_cli(*args, "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err == f"hspan: seed must fit in 64 unsigned bits, got {seed}\n"
+    assert not out_path.exists()
+
+
+def test_gen_seed_env_outside_64_bits_exits_two():
+    code, out, err = run_cli("gen", 3, 2, env_extra={"HSPAN_SEED": "-3"})
+    assert (code, out, err) == (2, "", "hspan: seed must fit in 64 unsigned bits, got -3\n")
 
 
 def test_reports_deterministic_up_to_wall_time(instance):

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import hspan.cli as cli
 import hspan.instances as instances
-from hspan import (BudgetExceededError, InstanceFormatError, PsdFamily, generate_family,
-                   instance_dict, load_instance, parse_instance,
+from hspan import (BudgetExceededError, InstanceFormatError, MatrixFamily, PsdFamily,
+                   generate_family, instance_dict, load_instance, parse_instance,
                    write_instance)
 from hspan.instances import _decode_matrices, _walk_matrices, dump_instance
 
@@ -85,6 +86,39 @@ def test_round_trip_bytes_stable():
     assert dump_instance(loaded, "psd") == text
 
 
+@st.composite
+def finite_families(draw):
+    """A MatrixFamily with n in 1-4, k in 1-3 and any finite float64 parts."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    parts = draw(arrays(np.float64, (k, n, n, 2),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return MatrixFamily(parts.view(np.complex128)[..., 0])
+
+
+EDGE_FAMILY = MatrixFamily([
+    [[complex(-0.0, 5e-324), complex(1e308, -1e308)], [complex(1e-300, -0.0), complex(0.0, -5e-324)]],
+    [[complex(1.0, -7.0), complex(2.0**53, 1e16)], [complex(0.0, 3.0), complex(-1e-300, 100.0)]],
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(finite_families(), st.sampled_from(["general", "psd"]))
+@example(EDGE_FAMILY, "general")
+@example(MatrixFamily([[[-0.0]]]), "general")
+@example(generate_family(3, 2, kind="psd", seed=4), "psd")
+def test_dump_instance_matches_json_reference(family, kind):
+    assert dump_instance(family, kind) == json.dumps(instance_dict(family, kind), indent=2) + "\n"
+
+
+def test_dump_instance_refuses_unknown_kind():
+    fam = generate_family(2, 1, seed=0)
+    with pytest.raises(ValueError) as direct:
+        dump_instance(fam, "weird")
+    with pytest.raises(ValueError) as reference:
+        instance_dict(fam, "weird")
+    assert str(direct.value) == str(reference.value)
+
+
 def test_instance_dict_shape():
     fam = generate_family(2, 2, seed=11)
     obj = instance_dict(fam, "general")
@@ -143,6 +177,13 @@ def test_load_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(InstanceFormatError, match="JSON"):
+        load_instance(path)
+
+
+def test_load_non_utf8(tmp_path):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(InstanceFormatError, match="^not valid UTF-8: "):
         load_instance(path)
 
 
