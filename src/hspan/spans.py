@@ -9,8 +9,11 @@ matrix product G = (B_1 B_1*) o ... o (B_k B_k*). This module computes that
 span both ways: through G (hadamard_span) and through independent oracles
 that never look at G. The deterministic oracle uses multilinearity, each
 slot's vector x_j can be restricted to basis vectors, so the n^k products of
-column combinations already span the family. The randomized oracle samples
-Gaussian x_j directly.
+column combinations already span the family. It forms all n^k of them as the
+n x n^k face-splitting matrix H, one column slice at a time, and holds only
+the n^k-entry face split of B_1 .. B_(k-1), one slice and the stacked R
+factors of the reduction, never H. The randomized oracle samples Gaussian
+x_j directly.
 
 For positive semidefinite A_1 .. A_k there are two tighter statements: the
 span of (A_1 x_1) o ... o (A_k x_k) is range(A_1 o ... o A_k)
@@ -31,6 +34,8 @@ from .subspace import (Subspace, ToleranceConfig, _hermitian_part, as_matrix,
                        range_basis)
 
 PSD_REL_TOL = 1e-10
+# Largest n^k the oracle takes. It forms all n^k columns of H but holds
+# only the n^k-entry prefix p, one column slice and the stacked R factors.
 ORACLE_COLUMN_BUDGET = 65536
 DRAW_ENTRY_BUDGET = 10_000_000
 
@@ -85,14 +90,20 @@ def _require_psd(w: np.ndarray, norm: float, name: str) -> None:
         raise NotPsdError(f"{name} has negative eigenvalue {float(w[0]):.3e}")
 
 
+def _require_finite(p: np.ndarray, what: str) -> np.ndarray:
+    """p, a product of finite factors formed under np.errstate(over="ignore",
+    invalid="ignore"). A non-finite entry means the product overflowed float64
+    and raises a ValueError naming `what`."""
+    if not np.isfinite(p).all():
+        raise ValueError(f"matrix entries too large: {what} overflows")
+    return p
+
+
 def _hadamard_product(mats, what: str) -> np.ndarray:
     """Entrywise product of the matrices `mats` yields. Entries too large for
     float64 raise a ValueError naming `what`, with no numpy warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p = reduce(np.multiply, mats)
-    if not np.isfinite(p).all():
-        raise ValueError(f"matrix entries too large: {what} overflows")
-    return p
+        return _require_finite(reduce(np.multiply, mats), what)
 
 
 def gram_hadamard(family: MatrixFamily) -> np.ndarray:
@@ -106,36 +117,72 @@ def hadamard_span(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
     return range_basis(gram_hadamard(family), cfg)
 
 
+_FACE_SPLIT_NAME = "the face-splitting product of B_1 .. B_k"
+
+
 def _face_split(mats) -> np.ndarray:
     """Face-splitting (row-wise Kronecker) product of n x n matrices.
 
     Row i of the n x n^k result is mats[0][i, :] (x) ... (x) mats[-1][i, :],
     so column i1..ik is (M_1 e_{i1}) o ... o (M_k e_{ik}) and, for the
-    family B_1 .. B_k, H H* = G.
+    family B_1 .. B_k, H H* = G. Entries too large for float64 raise a
+    ValueError, with no numpy warning.
     """
     n = mats[0].shape[0]
-    h = mats[0]
-    for b in mats[1:]:
-        h = (h[:, :, None] * b[:, None, :]).reshape(n, -1)
-    return h
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = reduce(lambda h, b: (h[:, :, None] * b[:, None, :]).reshape(n, -1), mats)
+        return _require_finite(h, _FACE_SPLIT_NAME)
+
+
+class _FaceSplit:
+    """The wide n x n^k face-splitting matrix H of mats (n, k >= 2), read-only
+    and built one column slice at a time.
+
+    Holds p = _face_split(mats[:-1]), the n x n^(k-1) face split of all
+    members but the last, and the last member. Column c of H is
+    p[:, c // n] o last[:, c % n], so h[:, j:j + b] needs only the prefix
+    columns j // n .. ceil((j + b) / n) and is bit for bit the slice of the
+    whole H. Slicing is the only indexing supported.
+    """
+
+    def __init__(self, mats):
+        self._prefix = _face_split(mats[:-1])
+        self._last = mats[-1]
+        n = self._last.shape[0]
+        self.shape = (n, self._prefix.shape[1] * n)
+
+    def __getitem__(self, key):
+        rows, cols = key
+        if rows != slice(None) or cols.step not in (None, 1):
+            raise IndexError("a _FaceSplit takes only column slices h[:, j:j + b]")
+        n = self.shape[0]
+        start, stop, _ = cols.indices(self.shape[1])
+        lo, hi = start // n, -(-stop // n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = (self._prefix[:, lo:hi, None] * self._last[:, None, :]).reshape(n, -1)
+            return _require_finite(h[:, start - lo * n:stop - lo * n], _FACE_SPLIT_NAME)
 
 
 def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
     """Brute-force span of all n^k basis-combination products.
 
-    Column i1..ik of the assembled n x n^k matrix H is
+    Column i1..ik of the n x n^k face-splitting matrix H is
     (B_1 e_{i1}) o ... o (B_k e_{ik}); multilinearity in each slot makes
     these products span the whole family. range_basis rank-reveals H through
-    the n x n factor R^T of H^T = Q R, reduced in column blocks of at most
-    max(TSQR_BLOCK, 2n), so besides H itself (n^(k+1) entries, bounded by
-    ORACLE_COLUMN_BUDGET) it holds one block copy and no n^k-long factor.
+    the n x n factor R^T of H^T = Q R, reduced in column slices of at most
+    b = max(TSQR_BLOCK, 2n). H itself is never held: it is passed as a
+    _FaceSplit, which builds each slice from p, the face split of
+    B_1 .. B_(k-1) (n^k entries), and B_k. So the oracle holds p, one n x b
+    slice and the stacked Rs (ceil(n^k / b) * n^2 entries), while every one
+    of the n^k columns is still formed; ORACLE_COLUMN_BUDGET bounds n^k.
     Never touches G = H H*, so it is an independent check of hadamard_span.
     """
     n, k = family.n, family.k
     if n**k > ORACLE_COLUMN_BUDGET:
         raise BudgetExceededError(
             f"oracle needs n^k = {n**k} columns, budget is {ORACLE_COLUMN_BUDGET}")
-    return range_basis(_face_split(list(family)), cfg)
+    mats = list(family)
+    return range_basis(_FaceSplit(mats) if n**k > n else _face_split(mats), cfg)
 
 
 def sample_count(n: int) -> int:
@@ -144,8 +191,10 @@ def sample_count(n: int) -> int:
 
 
 def _members(family, xs) -> np.ndarray:
-    """(B_1 X_1) o ... o (B_k X_k); column i is the member at column i of the n x t stacks X_j."""
-    return reduce(np.multiply, (b @ x for b, x in zip(family, xs)))
+    """(B_1 X_1) o ... o (B_k X_k); column i is the member at column i of the n x t stacks X_j.
+    Entries too large for float64 raise a ValueError, with no numpy warning."""
+    return _hadamard_product((b @ x for b, x in zip(family, xs)),
+                             "the sampled product (B_1 x_1) o ... o (B_k x_k)")
 
 
 def _require_draw_budget(rows: int, count: int) -> None:

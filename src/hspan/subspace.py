@@ -6,7 +6,10 @@ rank_rel_tol * max(rows, cols) * sigma_1 count toward the rank. A wide n x m
 matrix is first reduced to an n x n factor with the same singular values and
 range, so no m-long factor is built; its cutoff still uses max(n, m). The
 reduction is a blocked tall-skinny QR (TSQR) over column slices of at most
-max(TSQR_BLOCK, 2n) columns, so A is never copied whole.
+max(TSQR_BLOCK, 2n) columns, so A is never copied whole. Each slice is
+coerced and checked on its own, so a wide A only needs a 2-D .shape and
+column slicing: the combination oracle passes its n x n^k matrix as an
+object that builds each slice on demand, and that matrix is never held.
 Distances and containment are phrased through orthogonal projectors
 P = Q Q*, which makes every downstream check independent of the particular
 basis chosen.
@@ -131,11 +134,14 @@ def _wide_factor(a: np.ndarray) -> np.ndarray:
     gets the R of its transpose, and the stacked Rs, when there are several,
     get one more QR. Like the unblocked R, the result F has F F* = A A*, so
     it keeps A's singular values and left singular vectors (at full rank it
-    is the unblocked R^T up to a unitary diagonal). Only one slice is copied
-    at a time.
+    is the unblocked R^T up to a unitary diagonal). Only one slice exists
+    at a time, and as_matrix coerces and checks it there, so `a` may be any
+    object with a 2-D .shape and column slices a[:, j:j + b]; this function
+    holds one slice and the ceil(m / b) stacked n x n Rs.
     """
     b = max(TSQR_BLOCK, 2 * a.shape[0])
-    rs = [np.linalg.qr(a[:, j:j + b].T, mode="r") for j in range(0, a.shape[1], b)]
+    rs = [np.linalg.qr(as_matrix(a[:, j:j + b], "A").T, mode="r")
+          for j in range(0, a.shape[1], b)]
     return (rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")).T
 
 
@@ -145,9 +151,14 @@ def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
     A wide A is rank-revealed through R^T, where A^T = Q R: A = R^T Q^T and
     Q^T has orthonormal rows, so A and the n x n matrix R^T share singular
     values and left singular vectors (Chan's R-SVD), and Q is never formed.
-    R comes from the blocked reduction of _wide_factor, so A is not copied.
+    R comes from the blocked reduction of _wide_factor, so A is not copied,
+    and a wide A may be any object with a 2-D .shape and column slices
+    a[:, j:j + b] (basis_product_oracle passes one that builds each slice of
+    its n x n^k matrix on demand); its non-finite entries are found slice by
+    slice.
     """
-    a = as_matrix(a, "A")
+    if not (hasattr(a, "shape") and len(a.shape) == 2 and a.shape[1] > a.shape[0]):
+        a = as_matrix(a, "A")  # a wide A is coerced one slice at a time
     n, cols = a.shape
     if cols == 0:
         return Subspace(np.zeros((n, 0), dtype=np.complex128), 0.0)

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import hspan.instances as instances
+import hspan.spans as spans
+from hspan import MatrixFamily, ToleranceConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -22,6 +24,19 @@ def test_traced_targets_resolve(monkeypatch):
     for module_name, attr, _, _ in tracing.TARGETS:
         module = importlib.import_module(f"hspan.{module_name}")
         assert callable(getattr(module, attr, None)), f"hspan.{module_name}.{attr}"
+
+
+def test_oracle_rank_reveals_its_matrix_in_one_range_basis_call(monkeypatch):
+    """The traced run picks out the oracle's wide SVD as the spans.range_basis
+    span under spans.basis_product_oracle, and reads n^k from its shape."""
+    calls = []
+    range_basis = spans.range_basis
+    monkeypatch.setattr(spans, "range_basis",
+                        lambda a, cfg: calls.append(np.shape(a)) or range_basis(a, cfg))
+    for n, k in ((5, 3), (3, 1), (1, 3)):
+        calls.clear()
+        spans.basis_product_oracle(MatrixFamily([np.eye(n)] * k), ToleranceConfig())
+        assert calls == [(n, n**k)]
 
 
 def test_workload_files_match_json_reference(monkeypatch, tmp_path):

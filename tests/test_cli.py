@@ -171,6 +171,23 @@ def test_overflowing_verification_scale_exits_two(tmp_path):
                    "(prod_i ||B_i||_F)^2 overflows\n")
 
 
+@pytest.mark.parametrize("mode, product", [
+    ("basis", "the face-splitting product of B_1 .. B_k"),
+    ("random", "the sampled product (B_1 x_1) o ... o (B_k x_k)"),
+])
+def test_overflowing_oracle_products_exit_two(tmp_path, mode, product):
+    # the psd product A_1 o ... o A_4 is finite, so span succeeds; the oracle
+    # and sampler products reach 1e315
+    a2 = np.array([[1e-40, 1e55], [1e55, 1e150]])
+    path = tmp_path / "overflow.json"
+    write_instance(path, MatrixFamily([np.diag([1e150, 1e-150]), a2, a2, a2]), "psd")
+    assert run_cli("span", path)[0] == 0
+    code, out, err = run_cli("compare", "--mode", mode, path)
+    assert code == 2
+    assert out == ""
+    assert err == f"hspan compare: {path}: matrix entries too large: {product} overflows\n"
+
+
 @pytest.mark.parametrize("argv, rows", [
     (("compare", "--mode", "random", "--samples"), 2 * 4),
     (("verify", "--trials"), 3 * 4),

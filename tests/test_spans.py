@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -153,6 +154,72 @@ def test_oracle_budget(monkeypatch):
     monkeypatch.setattr(hspan.spans, "ORACLE_COLUMN_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
         basis_product_oracle(small, CFG)
+
+
+GRADED = np.diag(np.logspace(0, -3, 16)).astype(np.complex128)
+
+
+def oracle_cases():
+    # 40x3 and 6x6: the 1024-column slices straddle prefix columns (40 and 6
+    # do not divide 1024); 16x4: they align; 8x3: one slice; 5x1 and 1x4:
+    # the square path
+    for n, k in ((40, 3), (6, 6), (16, 4), (8, 3), (5, 1), (1, 4)):
+        yield pytest.param(gaussian_family(n, k, 60 + n + k), id=f"{n}x{k}")
+    mats = list(gaussian_family(6, 3, 70))
+    yield pytest.param(MatrixFamily([mats[0], np.zeros((6, 6)), mats[2]]), id="zero-member")
+    yield pytest.param(MatrixFamily([GRADED] * 3), id="graded-16x3")
+    yield pytest.param(gaussian_psd(8, 3, [3, 8, 5], 71), id="psd-8x3")
+
+
+@pytest.mark.parametrize("fam", list(oracle_cases()))
+def test_oracle_equals_range_basis_of_whole_face_split(fam):
+    streamed = basis_product_oracle(fam, CFG)
+    whole = range_basis(hspan.spans._face_split(list(fam)), CFG)
+    assert streamed.rank == whole.rank
+    assert streamed.tol_used == whole.tol_used
+    assert np.array_equal(streamed.basis, whole.basis)
+
+
+def test_face_split_slices_equal_the_whole():
+    mats = list(gaussian_family(6, 3, 72))
+    h = hspan.spans._face_split(mats)
+    lazy = hspan.spans._FaceSplit(mats)
+    assert lazy.shape == h.shape
+    for j, b in ((0, 5), (1, 6), (4, 31), (200, 16), (213, 100)):
+        assert np.array_equal(lazy[:, j:j + b], h[:, j:j + b])
+    assert np.array_equal(lazy[:, :], h)
+    with pytest.raises(IndexError):
+        lazy[0:1, 0:4]
+
+
+def test_oracle_never_holds_the_face_split():
+    fam = gaussian_family(16, 4, 73)
+    h_bytes = 16 * 16**4 * 16  # the whole H: 16.8 MB
+    tracemalloc.start()
+    try:
+        basis_product_oracle(fam, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h_bytes / 4
+
+
+def test_oracle_and_samplers_reject_overflowing_products(recwarn):
+    a1 = np.diag([1e150, 1e-150])
+    a2 = np.array([[1e-40, 1e55], [1e55, 1e150]])
+    fam = PsdFamily([a1, a2, a2, a2])  # the psd product itself is finite
+    psd_hadamard_span(fam, CFG)
+    with pytest.raises(ValueError, match=r"^matrix entries too large: the face-splitting "
+                                         r"product of B_1 \.\. B_k overflows$"):
+        basis_product_oracle(fam, CFG)
+    with pytest.raises(ValueError, match="face-splitting product of B_1 .. B_k overflows"):
+        hspan.spans._FaceSplit([a2 * 1e100] * 3 + [a1])  # the prefix p of B_1 .. B_3 overflows
+    for sampler in (lambda f: random_sample_span(f, 4, CFG),
+                    lambda f: single_vector_sample_span(f, CFG)):
+        with pytest.raises(ValueError, match=r"^matrix entries too large: the sampled product "
+                                             r"\(B_1 x_1\) o \.\.\. o \(B_k x_k\) overflows$"):
+            sampler(fam)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_random_sample_span_zero_family():

@@ -262,6 +262,8 @@ NON_FINITE_BOUNDARIES = {
     "MatrixFamily": lambda m: MatrixFamily([m]),
     "Subspace": lambda m: Subspace(m[:, :1]),
     "range_basis": lambda m: range_basis(m, CFG),
+    # wide: coerced slice by slice, and the bad entry sits in the second slice
+    "range_basis-wide": lambda m: range_basis(np.hstack([np.ones((2, 2000)), m]), CFG),
     "contains": lambda m: contains(Subspace(np.eye(2)), m[0], 1e-8),
     "pairing_identity_residual": lambda m: pairing_identity_residual(
         MatrixFamily([np.eye(2)]), [m[0]], np.ones(2), CFG),
