@@ -9,8 +9,7 @@ numerically certifies the identities the equality rests on.
 from .errors import (BudgetExceededError, DimensionError, InstanceFormatError,
                      NotHermitianError, NotPsdError)
 from .subspace import (Subspace, ToleranceConfig, complement_projector,
-                       contains, hermitian_eig, projector, range_basis,
-                       subspace_distance)
+                       range_basis, subspace_distance)
 from .spans import (MatrixFamily, PsdFamily, basis_product_oracle,
                     gram_hadamard, hadamard_span, psd_hadamard_span, psd_sqrt,
                     random_sample_span, single_vector_sample_span)
@@ -25,8 +24,8 @@ __version__ = "1.0.0"
 __all__ = [
     "BudgetExceededError", "DimensionError", "InstanceFormatError",
     "NotHermitianError", "NotPsdError",
-    "Subspace", "ToleranceConfig", "complement_projector", "contains",
-    "hermitian_eig", "projector", "range_basis", "subspace_distance",
+    "Subspace", "ToleranceConfig", "complement_projector", "range_basis",
+    "subspace_distance",
     "MatrixFamily", "PsdFamily", "basis_product_oracle", "gram_hadamard",
     "hadamard_span", "psd_hadamard_span", "psd_sqrt", "random_sample_span",
     "single_vector_sample_span",

@@ -15,7 +15,8 @@ are [re, im] pairs. The file layout is fixed: 2-space indent, one number
 per line, floats as repr, exactly what json.dumps(..., indent=2) gives for
 instance_dict. dump_instance writes that layout directly, row by row, and a
 test pins it to the json.dumps reference; a generate, save, load, save round
-trip is byte-identical. A file that is not UTF-8 is refused like any other
+trip is byte-identical. A file that is not UTF-8, or that holds an integer
+literal beyond Python's int-string limit, is refused like any other
 malformed file (InstanceFormatError). Loading decodes `matrices`
 in one vectorized pass; only a file that pass rejects is walked entry by
 entry, to name the first bad entry. Files with kind "psd" are validated
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -216,6 +218,11 @@ def load_instance(path) -> tuple[MatrixFamily, str]:
         raise InstanceFormatError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # e.g. open() on a path with a NUL
+            raise
+        raise InstanceFormatError(
+            f"integer literal longer than {sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise InstanceFormatError("nested too deeply") from exc
     return parse_instance(obj)

@@ -28,10 +28,10 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionError, NotPsdError
+from .errors import (BudgetExceededError, DimensionError, NotHermitianError,
+                     NotPsdError)
 from .rng import STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian, seed_children
-from .subspace import (Subspace, ToleranceConfig, _hermitian_part, as_matrix,
-                       range_basis)
+from .subspace import Subspace, ToleranceConfig, as_matrix, range_basis
 
 PSD_REL_TOL = 1e-10
 # Largest n^k the oracle takes. It forms all n^k columns of H but holds
@@ -73,8 +73,8 @@ class MatrixFamily:
 class PsdFamily(MatrixFamily):
     """A family whose members must be Hermitian positive semidefinite.
 
-    Hermitian defect up to 1e-10 * ||A||_F and eigenvalues down to
-    -1e-10 * ||A||_F are accepted as roundoff.
+    Hermitian defect up to PSD_REL_TOL * ||A||_F and eigenvalues down to
+    -PSD_REL_TOL * ||A||_F are accepted as roundoff.
     """
 
     def __init__(self, matrices):
@@ -84,8 +84,25 @@ class PsdFamily(MatrixFamily):
             _require_psd(np.linalg.eigvalsh(h), norm, f"matrix {i + 1}")
 
 
+def _hermitian_part(a, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """((A + A*) / 2, ||A||_F) for a square A whose Hermitian defect
+    ||A - A*||_F is at most PSD_REL_TOL * ||A||_F. An A whose norm overflows
+    float64 is rejected: no tolerance can be scaled by it."""
+    a = as_matrix(a, name)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {a.shape}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm):
+        raise ValueError(f"{name} is too large: ||A||_F overflows")
+    defect = float(np.linalg.norm(a - a.conj().T))
+    if defect > PSD_REL_TOL * max(norm, 1e-300):
+        raise NotHermitianError(f"{name} is not Hermitian: ||A - A*|| = {defect:.3e}, ||A|| = {norm:.3e}")
+    return (a + a.conj().T) / 2.0, norm
+
+
 def _require_psd(w: np.ndarray, norm: float, name: str) -> None:
-    """Reject ascending eigenvalues w whose smallest is below -1e-10 * ||A||_F."""
+    """Reject ascending eigenvalues w whose smallest is below -PSD_REL_TOL * ||A||_F."""
     if w.size and float(w[0]) < -PSD_REL_TOL * norm:
         raise NotPsdError(f"{name} has negative eigenvalue {float(w[0]):.3e}")
 
@@ -117,21 +134,18 @@ def hadamard_span(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
     return range_basis(gram_hadamard(family), cfg)
 
 
-_FACE_SPLIT_NAME = "the face-splitting product of B_1 .. B_k"
-
-
 def _face_split(mats) -> np.ndarray:
-    """Face-splitting (row-wise Kronecker) product of n x n matrices.
+    """Face-splitting (row-wise Kronecker) product of matrices with n rows.
 
-    Row i of the n x n^k result is mats[0][i, :] (x) ... (x) mats[-1][i, :],
-    so column i1..ik is (M_1 e_{i1}) o ... o (M_k e_{ik}) and, for the
-    family B_1 .. B_k, H H* = G. Entries too large for float64 raise a
+    Row i of the result is mats[0][i, :] (x) ... (x) mats[-1][i, :]; for k
+    n x n mats it is n x n^k, column i1..ik is (M_1 e_{i1}) o ... o
+    (M_k e_{ik}) and, for the family B_1 .. B_k, H H* = G. Entries too large for float64 raise a
     ValueError, with no numpy warning.
     """
     n = mats[0].shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         h = reduce(lambda h, b: (h[:, :, None] * b[:, None, :]).reshape(n, -1), mats)
-        return _require_finite(h, _FACE_SPLIT_NAME)
+        return _require_finite(h, "the face-splitting product of B_1 .. B_k")
 
 
 class _FaceSplit:
@@ -158,9 +172,8 @@ class _FaceSplit:
         n = self.shape[0]
         start, stop, _ = cols.indices(self.shape[1])
         lo, hi = start // n, -(-stop // n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = (self._prefix[:, lo:hi, None] * self._last[:, None, :]).reshape(n, -1)
-            return _require_finite(h[:, start - lo * n:stop - lo * n], _FACE_SPLIT_NAME)
+        h = _face_split([self._prefix[:, lo:hi], self._last])
+        return h[:, start - lo * n:stop - lo * n]
 
 
 def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:

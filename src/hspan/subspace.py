@@ -10,7 +10,7 @@ max(TSQR_BLOCK, 2n) columns, so A is never copied whole. Each slice is
 coerced and checked on its own, so a wide A only needs a 2-D .shape and
 column slicing: the combination oracle passes its n x n^k matrix as an
 object that builds each slice on demand, and that matrix is never held.
-Distances and containment are phrased through orthogonal projectors
+Distances and complements are phrased through orthogonal projectors
 P = Q Q*, which makes every downstream check independent of the particular
 basis chosen.
 """
@@ -21,31 +21,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError
+from .errors import DimensionError
 
-HERMITIAN_REL_TOL = 1e-10
 BASIS_ORTHO_TOL = 1e-10
 TSQR_BLOCK = 1024
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite complex128 2-D array."""
+def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Coerce to a finite complex128 array with `ndim` axes (a vector at ndim=1)."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
+    if m.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-dimensional, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Coerce to a finite complex128 1-D array."""
-    v = np.asarray(a, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionError(f"{name} must be 1-dimensional, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
 
 
 @dataclass(frozen=True)
@@ -99,33 +88,6 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, rank={self.rank})"
 
 
-def _hermitian_part(a, name: str = "matrix") -> tuple[np.ndarray, float]:
-    """((A + A*) / 2, ||A||_F) for a square A whose Hermitian defect
-    ||A - A*||_F is at most 1e-10 * ||A||_F. An A whose norm overflows
-    float64 is rejected: no tolerance can be scaled by it."""
-    a = as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if not np.isfinite(norm):
-        raise ValueError(f"{name} is too large: ||A||_F overflows")
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > HERMITIAN_REL_TOL * max(norm, 1e-300):
-        raise NotHermitianError(f"{name} is not Hermitian: ||A - A*|| = {defect:.3e}, ||A|| = {norm:.3e}")
-    return (a + a.conj().T) / 2.0, norm
-
-
-def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    The input may deviate from exact Hermitian symmetry by at most
-    1e-10 * ||A||_F; it is symmetrized before solving.
-    """
-    w, v = np.linalg.eigh(_hermitian_part(a)[0])
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def _wide_factor(a: np.ndarray) -> np.ndarray:
     """The n x n factor R^T of a wide n x m A, where A^T = Q R.
 
@@ -137,12 +99,12 @@ def _wide_factor(a: np.ndarray) -> np.ndarray:
     is the unblocked R^T up to a unitary diagonal). Only one slice exists
     at a time, and as_matrix coerces and checks it there, so `a` may be any
     object with a 2-D .shape and column slices a[:, j:j + b]; this function
-    holds one slice and the ceil(m / b) stacked n x n Rs.
+    holds one slice and the ceil(m / b) stacked n x n Rs (twice in the QR).
     """
     b = max(TSQR_BLOCK, 2 * a.shape[0])
-    rs = [np.linalg.qr(as_matrix(a[:, j:j + b], "A").T, mode="r")
-          for j in range(0, a.shape[1], b)]
-    return (rs[0] if len(rs) == 1 else np.linalg.qr(np.vstack(rs), mode="r")).T
+    r = np.vstack([np.linalg.qr(as_matrix(a[:, j:j + b], "A").T, mode="r")
+                   for j in range(0, a.shape[1], b)])
+    return (r if a.shape[1] <= b else np.linalg.qr(r, mode="r")).T
 
 
 def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
@@ -170,27 +132,19 @@ def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
     return Subspace(u[:, :r], cutoff)
 
 
-def projector(s: Subspace) -> np.ndarray:
+def _projector(s: Subspace) -> np.ndarray:
     """Orthogonal projector onto the subspace, P = Q Q*."""
     return s.basis @ s.basis.conj().T
 
 
 def complement_projector(s: Subspace) -> np.ndarray:
     """Projector onto the orthogonal complement, E = I - Q Q*."""
-    return np.eye(s.ambient_dim, dtype=np.complex128) - projector(s)
+    return np.eye(s.ambient_dim, dtype=np.complex128) - _projector(s)
 
 
 def subspace_distance(s1: Subspace, s2: Subspace) -> float:
     """Frobenius distance of the projectors; 0 iff the subspaces coincide."""
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionError(f"ambient dimensions differ: {s1.ambient_dim} vs {s2.ambient_dim}")
-    return float(np.linalg.norm(projector(s1) - projector(s2)))
+    return float(np.linalg.norm(_projector(s1) - _projector(s2)))
 
-
-def contains(s: Subspace, v: np.ndarray, tol: float) -> bool:
-    """Whether v lies in s: ||v - Pv|| <= tol * max(1, ||v||)."""
-    v = as_vector(v, "v")
-    if v.shape[0] != s.ambient_dim:
-        raise DimensionError(f"vector dimension {v.shape[0]} does not match ambient {s.ambient_dim}")
-    residual = v - s.basis @ (s.basis.conj().T @ v)
-    return float(np.linalg.norm(residual)) <= tol * max(1.0, float(np.linalg.norm(v)))

@@ -52,7 +52,7 @@ from .rng import STREAM_ORTHO, STREAM_PAIRING, complex_gaussian, seed_children
 from .spans import (MatrixFamily, PsdFamily, _face_split, _members,
                     _require_draw_budget, gram_hadamard, psd_hadamard_span,
                     psd_sqrt)
-from .subspace import (ToleranceConfig, as_vector, complement_projector,
+from .subspace import (ToleranceConfig, as_matrix, complement_projector,
                        range_basis, subspace_distance)
 
 COLUMN_IDENTITY_TOL = 1e-13
@@ -216,8 +216,8 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
     the right side pairs x_1 (x) ... (x) x_k in C^(n^k) with T y, where T is
     the explicit witness viewed as an n^k x n matrix.
     """
-    xs = [as_vector(x, "slot vector") for x in xs]
-    y = as_vector(y, "y")
+    xs = [as_matrix(x, "slot vector", ndim=1) for x in xs]
+    y = as_matrix(y, "y", ndim=1)
     if len(xs) != family.k:
         raise DimensionError(f"need {family.k} slot vectors, got {len(xs)}")
     for x in xs:

@@ -16,7 +16,7 @@ import pytest
 
 import families
 from hspan import (MatrixFamily, ToleranceConfig, basis_product_oracle,
-                   contains, gram_hadamard, hadamard_span, hermitian_eig,
+                   complement_projector, gram_hadamard, hadamard_span,
                    psd_hadamard_span, psd_sqrt, range_basis,
                    single_vector_sample_span, subspace_distance, verify_all)
 from hspan.rng import complex_gaussian
@@ -64,8 +64,11 @@ def test_gram_columns_lie_in_family_span(corpus_spans):
     checked = 0
     for label, fam, _, oracle in rows:
         g = gram_hadamard(fam)
+        e = complement_projector(oracle)
         for i in range(fam.n):
-            assert contains(oracle, g[:, i], SPAN_TOL), f"{label}: column {i + 1} escapes"
+            escape = np.linalg.norm(e @ g[:, i])
+            assert escape <= SPAN_TOL * max(1.0, np.linalg.norm(g[:, i])), \
+                f"{label}: column {i + 1} escapes"
             checked += 1
     report_line("gram columns inside the family span", True,
                 f"{checked} columns over {len(rows)} families, tolerance {SPAN_TOL}")
@@ -122,15 +125,9 @@ def test_identity_residuals_over_corpus(corpus_spans):
 
 def test_numerical_kernels():
     rng = np.random.default_rng(606)
-    worst_eig = worst_unitary = worst_sqrt = worst_basis = 0.0
+    worst_sqrt = worst_basis = 0.0
     for n in (2, 3, 5, 8, 13, 21, 32):
-        a = complex_gaussian(rng, n, n)
-        a = (a + a.conj().T) / 2
-        w, v = hermitian_eig(a)
-        worst_eig = max(worst_eig, np.linalg.norm(a - (v * w) @ v.conj().T)
-                        / np.linalg.norm(a))
-        worst_unitary = max(worst_unitary,
-                            np.linalg.norm(v.conj().T @ v - np.eye(n)) / n)
+        complex_gaussian(rng, n, n)  # discarded: the pinned draws below start after it
         m = complex_gaussian(rng, n, max(1, n - 2))
         gram = m @ m.conj().T
         s = psd_sqrt(gram)
@@ -140,10 +137,8 @@ def test_numerical_kernels():
             q = range_basis(complex_gaussian(rng, n, cols), CFG)
             worst_basis = max(worst_basis, np.linalg.norm(
                 q.basis.conj().T @ q.basis - np.eye(q.rank)))
-    ok = (worst_eig <= 1e-12 and worst_unitary <= 1e-12
-          and worst_sqrt <= 1e-8 and worst_basis <= 1e-10)
+    ok = worst_sqrt <= 1e-8 and worst_basis <= 1e-10
     report_line("numerical kernels", ok,
-                f"eig residual {worst_eig:.2e}, unitarity {worst_unitary:.2e}, "
                 f"sqrt residual {worst_sqrt:.2e}, basis orthonormality {worst_basis:.2e}")
 
 

@@ -1,9 +1,10 @@
 # Guards on what the benchmark (bench/) uses of hspan, checked against the
 # package under test so that a change to hspan shows here and not only when
 # the benchmark is started. The traced run (bench/tracing.py) wraps hspan
-# functions by patching (module, attribute) pairs listed in its TARGETS; the
-# set-up (bench/workloads.py) writes its files with hspan's generator and
-# writer, and its set-up time is measured on exactly those bytes.
+# functions by patching (module, attribute) pairs listed in its TARGETS and
+# calls hspan.verify's identity functions directly; the set-up
+# (bench/workloads.py) writes its files with hspan's generator and writer,
+# and its set-up time is measured on exactly those bytes.
 import importlib
 import json
 from pathlib import Path
@@ -12,6 +13,8 @@ import numpy as np
 
 import hspan.instances as instances
 import hspan.spans as spans
+import hspan.subspace as subspace
+import hspan.verify as verify
 from hspan import MatrixFamily, ToleranceConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -24,6 +27,19 @@ def test_traced_targets_resolve(monkeypatch):
     for module_name, attr, _, _ in tracing.TARGETS:
         module = importlib.import_module(f"hspan.{module_name}")
         assert callable(getattr(module, attr, None)), f"hspan.{module_name}.{attr}"
+
+
+def test_direct_calls_and_set_up_names_resolve():
+    """The names bench/tracing.py::_direct_calls and bench/workloads.py read
+    besides TARGETS: verify's identity functions and tensor budget, the
+    ToleranceConfig they take, and the loader, generator and writer."""
+    for attr in ("column_identity_residual", "tensor_witness", "norm_trace_identity",
+                 "orthogonality_check", "pairing_identity_residual"):
+        assert callable(getattr(verify, attr, None)), f"hspan.verify.{attr}"
+    assert isinstance(verify.TENSOR_ENTRY_BUDGET, int)
+    assert subspace.ToleranceConfig(seed=0).seed == 0
+    for attr in ("load_instance", "MatrixFamily", "generate_family", "dump_instance"):
+        assert callable(getattr(instances, attr, None)), f"hspan.instances.{attr}"
 
 
 def test_oracle_rank_reveals_its_matrix_in_one_range_basis_call(monkeypatch):

@@ -232,6 +232,16 @@ def test_non_utf8_file_exits_two(tmp_path):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_overlong_integer_exits_two(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": ' + "1" * 5000 + "}")
+    code, out, err = run_cli("span", path)
+    assert code == 2
+    assert out == ""
+    assert err == (f"hspan span: {path}: integer literal longer than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
 def test_missing_file_exits_two_naming_it_once(tmp_path):
     code, out, err = run_cli("span", tmp_path / "missing.json")
     assert code == 2

@@ -187,6 +187,13 @@ def test_load_non_utf8(tmp_path):
         load_instance(path)
 
 
+def test_load_overlong_integer(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": ' + "1" * 5000 + "}")
+    with pytest.raises(InstanceFormatError, match=r"^integer literal longer than \d+ digits$"):
+        load_instance(path)
+
+
 LEAVES = st.one_of(
     st.integers(-3, 3), st.sampled_from([10**400, -10**400]),
     st.floats(allow_nan=True, allow_infinity=True), st.booleans(),

@@ -6,8 +6,8 @@ import pytest
 
 import hspan.spans
 from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
-                   NotPsdError, PsdFamily, ToleranceConfig,
-                   basis_product_oracle, contains, gram_hadamard,
+                   NotHermitianError, NotPsdError, PsdFamily, ToleranceConfig,
+                   basis_product_oracle, complement_projector, gram_hadamard,
                    hadamard_span, psd_hadamard_span, psd_sqrt,
                    random_sample_span, range_basis, single_vector_sample_span,
                    subspace_distance)
@@ -58,7 +58,7 @@ def test_psd_family_accepts_gram():
 
 
 def test_psd_family_rejects_nonhermitian():
-    with pytest.raises(NotPsdError):
+    with pytest.raises(NotHermitianError):
         PsdFamily([np.array([[0.0, 1.0], [0.0, 0.0]])])
 
 
@@ -111,7 +111,8 @@ def test_hadamard_span_diagonal_example():
     fam = MatrixFamily([np.diag([1.0, 0.0]), np.diag([2.0, 1.0])])
     s = hadamard_span(fam, CFG)
     assert s.rank == 1
-    assert contains(s, np.array([1.0, 0.0]), 1e-10)
+    v = np.array([1.0, 0.0])
+    assert np.linalg.norm(complement_projector(s) @ v) <= 1e-10 * max(1, np.linalg.norm(v))
 
 
 def test_hadamard_span_matches_oracle_with_rank_deficient_member():
@@ -202,6 +203,21 @@ def test_oracle_never_holds_the_face_split():
     finally:
         tracemalloc.stop()
     assert peak < h_bytes / 4
+
+
+def test_oracle_holds_the_stacked_rs_at_most_twice():
+    # H is 128 x 16384 and reduces in 16 slices of 1024 columns, so the
+    # stacked Rs are 16 x 128 x 128 complex, 4 MiB. The final QR holds the
+    # stack and QR's own copy of it, but not the list of Rs as well.
+    fam = gaussian_family(128, 2, 74)
+    stack_bytes = 16 * 128 * 128 * 16
+    tracemalloc.start()
+    try:
+        basis_product_oracle(fam, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * stack_bytes
 
 
 def test_oracle_and_samplers_reject_overflowing_products(recwarn):
@@ -295,7 +311,8 @@ def test_psd_hadamard_span_examples():
     ones = np.ones((4, 4))
     s = psd_hadamard_span(PsdFamily([ones, ones]), CFG)
     assert s.rank == 1
-    assert contains(s, np.ones(4), 1e-10)
+    v = np.ones(4)
+    assert np.linalg.norm(complement_projector(s) @ v) <= 1e-10 * max(1, np.linalg.norm(v))
 
 
 def test_psd_hadamard_span_requires_psd_family():
@@ -319,7 +336,8 @@ def test_single_vector_span_all_ones():
     pf = PsdFamily([ones, ones])
     s = single_vector_sample_span(pf, CFG)
     assert s.rank == 1
-    assert contains(s, np.ones(4), 1e-10)
+    v = np.ones(4)
+    assert np.linalg.norm(complement_projector(s) @ v) <= 1e-10 * max(1, np.linalg.norm(v))
 
 
 def test_single_vector_span_diagonal_counts_common_support():

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hspan import (DimensionError, MatrixFamily, NotHermitianError, Subspace,
-                   ToleranceConfig, complement_projector, contains,
-                   hermitian_eig, pairing_identity_residual, projector,
+from hspan import (DimensionError, MatrixFamily, Subspace, ToleranceConfig,
+                   complement_projector, pairing_identity_residual,
                    range_basis, subspace_distance)
 from hspan import subspace
 from hspan.rng import complex_gaussian
@@ -16,11 +15,6 @@ from families import face_split
 
 CFG = ToleranceConfig()
 seeds = st.integers(0, 2**32 - 1)
-
-
-def random_hermitian(rng, n):
-    a = complex_gaussian(rng, n, n)
-    return (a + a.conj().T) / 2
 
 
 def test_tolerance_config_defaults():
@@ -53,38 +47,6 @@ def test_subspace_is_immutable():
         s.rank = 5
     with pytest.raises(ValueError):
         s.basis[0, 0] = 2.0
-
-
-def test_hermitian_eig_diagonal():
-    w, v = hermitian_eig(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(w, [3.0, 1.0])
-    np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-15)
-
-
-def test_hermitian_eig_swap_matrix():
-    w, _ = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-15)
-
-
-def test_hermitian_eig_residuals():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        a = random_hermitian(rng, 6)
-        w, v = hermitian_eig(a)
-        assert np.all(np.diff(w) <= 0)
-        resid = np.linalg.norm(a - (v * w) @ v.conj().T)
-        assert resid <= 1e-12 * np.linalg.norm(a)
-        assert np.linalg.norm(v.conj().T @ v - np.eye(6)) <= 1e-13
-
-
-def test_hermitian_eig_rejects_nonsquare():
-    with pytest.raises(DimensionError):
-        hermitian_eig(np.ones((2, 3)))
-
-
-def test_hermitian_eig_rejects_nonhermitian():
-    with pytest.raises(NotHermitianError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_range_basis_identity():
@@ -212,10 +174,10 @@ def test_range_basis_wide_zero_matrix():
 
 def test_projector_full_and_split():
     full = range_basis(np.eye(2), CFG)
-    np.testing.assert_allclose(projector(full), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(subspace._projector(full), np.eye(2), atol=1e-15)
     np.testing.assert_allclose(complement_projector(full), np.zeros((2, 2)), atol=1e-15)
     e1 = range_basis(np.array([[1.0, 0.0], [0.0, 0.0]]), CFG)
-    np.testing.assert_allclose(projector(e1), np.diag([1.0, 0.0]), atol=1e-15)
+    np.testing.assert_allclose(subspace._projector(e1), np.diag([1.0, 0.0]), atol=1e-15)
     np.testing.assert_allclose(complement_projector(e1), np.diag([0.0, 1.0]), atol=1e-15)
 
 
@@ -224,7 +186,7 @@ def test_projector_residuals():
     for _ in range(10):
         a = complex_gaussian(rng, 7, 3)
         s = range_basis(a, CFG)
-        p = projector(s)
+        p = subspace._projector(s)
         e = complement_projector(s)
         assert np.linalg.norm(p @ p - p) <= 1e-10
         assert np.linalg.norm(p.conj().T - p) <= 1e-10
@@ -244,30 +206,23 @@ def test_subspace_distance_ambient_mismatch():
         subspace_distance(range_basis(np.eye(2), CFG), range_basis(np.eye(3), CFG))
 
 
-def test_contains():
-    s = range_basis(np.diag([1.0, 0.0]), CFG)
-    assert contains(s, np.array([2.0, 0.0]), 1e-10)
-    assert not contains(s, np.array([0.0, 1.0]), 1e-10)
-    with pytest.raises(DimensionError):
-        contains(s, np.ones(3), 1e-10)
-
-
-def test_contains_zero_rank_only_zero_vector():
-    s = range_basis(np.zeros((3, 3)), CFG)
-    assert contains(s, np.zeros(3), 1e-10)
-    assert not contains(s, np.array([1.0, 0.0, 0.0]), 1e-10)
-
-
 NON_FINITE_BOUNDARIES = {
     "MatrixFamily": lambda m: MatrixFamily([m]),
     "Subspace": lambda m: Subspace(m[:, :1]),
     "range_basis": lambda m: range_basis(m, CFG),
     # wide: coerced slice by slice, and the bad entry sits in the second slice
     "range_basis-wide": lambda m: range_basis(np.hstack([np.ones((2, 2000)), m]), CFG),
-    "contains": lambda m: contains(Subspace(np.eye(2)), m[0], 1e-8),
     "pairing_identity_residual": lambda m: pairing_identity_residual(
         MatrixFamily([np.eye(2)]), [m[0]], np.ones(2), CFG),
 }
+
+
+def test_as_matrix_checks_the_number_of_axes():
+    assert subspace.as_matrix([1, 2j], "v", ndim=1).dtype == np.complex128
+    with pytest.raises(DimensionError, match=r"^matrix must be 2-dimensional, got ndim=1$"):
+        subspace.as_matrix(np.ones(2))
+    with pytest.raises(DimensionError, match=r"^y must be 1-dimensional, got ndim=2$"):
+        subspace.as_matrix(np.ones((2, 2)), "y", ndim=1)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
