@@ -141,8 +141,14 @@ def _run_verify(family, kind, cfg, args):
     return (EXIT_OK if report.passed else EXIT_MISMATCH), report.to_dict()
 
 
-def _memory_message(exc: MemoryError) -> str:
-    return f"out of memory: {exc}" if str(exc) else "out of memory"
+_FAILURES = (BudgetExceededError, MemoryError, ValueError)  # reported, never a traceback
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """(exit code, message): a budget or MemoryError exits 3, the rest 2."""
+    if isinstance(exc, MemoryError):
+        return EXIT_BUDGET, f"out of memory: {exc}" if str(exc) else "out of memory"
+    return (EXIT_BUDGET if isinstance(exc, BudgetExceededError) else EXIT_INPUT), str(exc)
 
 
 def _run_gen(args, seed) -> int:
@@ -155,15 +161,10 @@ def _run_gen(args, seed) -> int:
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except (ValueError, OSError) as exc:
-        print(f"hspan gen: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except BudgetExceededError as exc:
-        print(f"hspan gen: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MemoryError as exc:
-        print(f"hspan gen: {_memory_message(exc)}", file=sys.stderr)
-        return EXIT_BUDGET
+    except (*_FAILURES, OSError) as exc:
+        code, message = _failure(exc)
+        print(f"hspan gen: {message}", file=sys.stderr)
+        return code
     return EXIT_OK
 
 
@@ -177,12 +178,9 @@ def _run_file(runner, path, args, cfg):
         code, payload = runner(family, kind, cfg, args)
         report = _report(args.command, family, kind, cfg.seed, payload, started)
         return code, json.dumps(report, allow_nan=False) + "\n", None
-    except BudgetExceededError as exc:
-        return EXIT_BUDGET, None, f"{path}: {exc}"
-    except MemoryError as exc:
-        return EXIT_BUDGET, None, f"{path}: {_memory_message(exc)}"
-    except ValueError as exc:  # InstanceFormatError, and a NaN or infinity in the report
-        return EXIT_INPUT, None, f"{path}: {exc}"
+    except _FAILURES as exc:  # InstanceFormatError, and a NaN or infinity in the report
+        code, message = _failure(exc)
+        return code, None, f"{path}: {message}"
 
 
 def main(argv=None) -> int:

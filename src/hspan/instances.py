@@ -219,10 +219,10 @@ def load_instance(path) -> tuple[MatrixFamily, str]:
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from exc
     except ValueError as exc:
-        if "integer string conversion" not in str(exc):  # e.g. open() on a path with a NUL
-            raise
-        raise InstanceFormatError(
-            f"integer literal longer than {sys.get_int_max_str_digits()} digits") from exc
+        if "integer string conversion" in str(exc):
+            raise InstanceFormatError(
+                f"integer literal longer than {sys.get_int_max_str_digits()} digits") from exc
+        raise InstanceFormatError(f"cannot read: {exc}") from exc  # open() on a path with a NUL
     except RecursionError as exc:
         raise InstanceFormatError("nested too deeply") from exc
     return parse_instance(obj)

@@ -19,7 +19,9 @@ For positive semidefinite A_1 .. A_k there are two tighter statements: the
 span of (A_1 x_1) o ... o (A_k x_k) is range(A_1 o ... o A_k)
 (psd_hadamard_span, reachable from the general result with B_i a PSD square
 root of A_i), and even a single shared vector x in every slot suffices
-(single_vector_sample_span samples that thinner family).
+(single_vector_sample_span samples that thinner family). psd_sqrt holds the
+Hermitian/PSD acceptance rule and computes that root; a PsdFamily applies it
+once per member, at construction, and keeps the roots.
 """
 
 from __future__ import annotations
@@ -73,38 +75,15 @@ class MatrixFamily:
 class PsdFamily(MatrixFamily):
     """A family whose members must be Hermitian positive semidefinite.
 
-    Hermitian defect up to PSD_REL_TOL * ||A||_F and eigenvalues down to
-    -PSD_REL_TOL * ||A||_F are accepted as roundoff.
+    Each member A_i passes psd_sqrt's rule once, at construction, and its
+    root is kept: `roots` is the MatrixFamily of the Hermitian PSD square
+    roots B_i, with B_i B_i* = A_i.
     """
 
     def __init__(self, matrices):
         super().__init__(matrices)
-        for i, a in enumerate(self):
-            h, norm = _hermitian_part(a, f"matrix {i + 1}")
-            _require_psd(np.linalg.eigvalsh(h), norm, f"matrix {i + 1}")
-
-
-def _hermitian_part(a, name: str = "matrix") -> tuple[np.ndarray, float]:
-    """((A + A*) / 2, ||A||_F) for a square A whose Hermitian defect
-    ||A - A*||_F is at most PSD_REL_TOL * ||A||_F. An A whose norm overflows
-    float64 is rejected: no tolerance can be scaled by it."""
-    a = as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if not np.isfinite(norm):
-        raise ValueError(f"{name} is too large: ||A||_F overflows")
-    defect = float(np.linalg.norm(a - a.conj().T))
-    if defect > PSD_REL_TOL * max(norm, 1e-300):
-        raise NotHermitianError(f"{name} is not Hermitian: ||A - A*|| = {defect:.3e}, ||A|| = {norm:.3e}")
-    return (a + a.conj().T) / 2.0, norm
-
-
-def _require_psd(w: np.ndarray, norm: float, name: str) -> None:
-    """Reject ascending eigenvalues w whose smallest is below -PSD_REL_TOL * ||A||_F."""
-    if w.size and float(w[0]) < -PSD_REL_TOL * norm:
-        raise NotPsdError(f"{name} has negative eigenvalue {float(w[0]):.3e}")
+        self.roots = MatrixFamily([psd_sqrt(a, name=f"matrix {i + 1}")
+                                   for i, a in enumerate(self)])
 
 
 def _require_finite(p: np.ndarray, what: str) -> np.ndarray:
@@ -238,18 +217,30 @@ def random_sample_span(family: MatrixFamily, samples: int, cfg: ToleranceConfig)
     return _sample_span(family, cfg, STREAM_SAMPLE, samples, shared=False)
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition.
+def psd_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Hermitian PSD square root via eigendecomposition, under the PSD rule.
 
-    Eigenvalues inside the PSD acceptance band, |w| <= 1e-10 * ||A||_F, are
-    indistinguishable from zero at this type's tolerance and are zeroed
-    before taking the root. Without that truncation the root would turn
-    eigenvalue roundoff into sqrt(roundoff) singular values, inflating the
-    numerical rank of the result above the rank of A.
+    A square A with a finite ||A||_F is accepted when its Hermitian defect
+    ||A - A*||_F and the negative part of its smallest eigenvalue are at most
+    PSD_REL_TOL * ||A||_F; `name` labels A in the messages. Eigenvalues
+    inside that band are indistinguishable from zero at this type's
+    tolerance and are zeroed before taking the root. Without that truncation
+    the root would turn eigenvalue roundoff into sqrt(roundoff) singular
+    values, inflating the numerical rank of the result above the rank of A.
     """
-    h, norm = _hermitian_part(a)
-    w, v = np.linalg.eigh(h)
-    _require_psd(w, norm, "matrix")
+    a = as_matrix(a, name)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be square, got shape {a.shape}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm):
+        raise ValueError(f"{name} is too large: ||A||_F overflows")
+    defect = float(np.linalg.norm(a - a.conj().T))
+    if defect > PSD_REL_TOL * max(norm, 1e-300):
+        raise NotHermitianError(f"{name} is not Hermitian: ||A - A*|| = {defect:.3e}, ||A|| = {norm:.3e}")
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    if w.size and float(w[0]) < -PSD_REL_TOL * norm:
+        raise NotPsdError(f"{name} has negative eigenvalue {float(w[0]):.3e}")
     w = np.where(w <= PSD_REL_TOL * norm, 0.0, w)
     root = (v * np.sqrt(w)) @ v.conj().T
     return (root + root.conj().T) / 2.0

@@ -38,6 +38,10 @@ and conjugate-linear in its second. Tensors are row-major and np.kron is
 left-associated, so the entry of u (x) v at index p * dim(v) + q is
 u[p] * v[q]. The tensor witness and the checks that need it are limited to
 TENSOR_ENTRY_BUDGET entries.
+
+The public identity functions take a family's members as the B_i as given,
+the A_i of a PsdFamily included. Only verify_all reduces a PsdFamily to its
+square roots B_i = A_i^(1/2), which the family keeps as `roots`.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ import numpy as np
 from .errors import BudgetExceededError, DimensionError
 from .rng import STREAM_ORTHO, STREAM_PAIRING, complex_gaussian, seed_children
 from .spans import (MatrixFamily, PsdFamily, _face_split, _members,
-                    _require_draw_budget, gram_hadamard, psd_hadamard_span,
-                    psd_sqrt)
+                    _require_draw_budget, gram_hadamard, psd_hadamard_span)
+# Not called here; bench/tracing.py patches verify.psd_sqrt until ROADMAP item 7.
+from .spans import psd_sqrt  # noqa: F401
 from .subspace import (ToleranceConfig, as_matrix, complement_projector,
                        range_basis, subspace_distance)
 
@@ -256,9 +261,9 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
                pairing_trials: int = 10, orthogonality_trials: int = 50) -> VerificationReport:
     """Run every identity check on one family and aggregate a report.
 
-    A PsdFamily is first reduced to its square-root family, on which the
-    identity checks run; the report then also records the distance between
-    range(A_1 o ... o A_k) and the square-root family's span, which the PSD
+    A PsdFamily is reduced to the square roots it keeps (family.roots), on
+    which the identity checks run; the report then also records the distance
+    between range(A_1 o ... o A_k) and the root family's span, which the PSD
     specialization asserts is zero.
     """
     if pairing_trials < 0 or orthogonality_trials < 1:
@@ -271,9 +276,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     psd_input = isinstance(family, PsdFamily)
     if psd_input:
         product_span = psd_hadamard_span(family, cfg)
-        bfam = MatrixFamily([psd_sqrt(a) for a in family])
-    else:
-        bfam = family
+    bfam = family.roots if psd_input else family
 
     g, span, e = _complement(bfam, cfg)  # rejects entries whose G overflows
     scale = family_scale(bfam)

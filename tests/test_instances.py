@@ -173,6 +173,12 @@ def test_load_missing_file(tmp_path):
         load_instance(tmp_path / "nope.json")
 
 
+def test_load_path_with_nul():
+    # open() refuses the path with a bare ValueError; argv never holds a NUL
+    with pytest.raises(InstanceFormatError, match="^cannot read: embedded null byte$"):
+        load_instance("a\0b.json")
+
+
 def test_load_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

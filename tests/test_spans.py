@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 import hspan.spans
-from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
-                   NotHermitianError, NotPsdError, PsdFamily, ToleranceConfig,
-                   basis_product_oracle, complement_projector, gram_hadamard,
-                   hadamard_span, psd_hadamard_span, psd_sqrt,
+from hspan import (BudgetExceededError, DimensionError, InstanceFormatError,
+                   MatrixFamily, NotHermitianError, NotPsdError, PsdFamily,
+                   ToleranceConfig, basis_product_oracle, complement_projector,
+                   gram_hadamard, hadamard_span, psd_hadamard_span, psd_sqrt,
                    random_sample_span, range_basis, single_vector_sample_span,
                    subspace_distance)
+from hspan.instances import instance_dict, parse_instance
 from hspan.rng import (STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian,
                        seed_children)
+from hspan.spans import PSD_REL_TOL
+from hspan.verify import verify_all
 
 CFG = ToleranceConfig(seed=42)
 
@@ -65,6 +68,60 @@ def test_psd_family_rejects_nonhermitian():
 def test_psd_family_rejects_indefinite():
     with pytest.raises(NotPsdError):
         PsdFamily([-np.eye(3)])
+
+
+def test_psd_family_roots_are_psd_sqrt_of_members():
+    pf = gaussian_psd(5, 3, [2, 5, 3], 5)
+    assert isinstance(pf.roots, MatrixFamily) and (pf.roots.n, pf.roots.k) == (5, 3)
+    for a, root in zip(pf, pf.roots):
+        assert np.array_equal(root.view(np.uint64), psd_sqrt(a).view(np.uint64))
+
+
+def test_psd_family_decomposes_each_member_once(monkeypatch):
+    mats = list(gaussian_psd(4, 3, [2, 4, 3], 6))
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    assert verify_all(PsdFamily(mats), CFG).passed
+    assert calls == {"eigh": 3, "eigvalsh": 0}
+
+
+def _band_edge(kind: str, c: float) -> np.ndarray:
+    """A 3 x 3 matrix c bands from the PSD rule's zero, the band being
+    PSD_REL_TOL * ||A||_F: a rotated diag(1, 1, -c band) for "eigenvalue", and
+    I plus an antisymmetric entry pair of defect ||A - A*||_F = c band for
+    "defect". c < 1 is accepted, c > 1 refused."""
+    if kind == "eigenvalue":
+        q, _ = np.linalg.qr(complex_gaussian(np.random.default_rng(7), 3, 3))
+        lam = -c * PSD_REL_TOL * np.sqrt(2.0)
+        return (q * np.array([1.0, 1.0, lam])) @ q.conj().T
+    t = c * PSD_REL_TOL * np.sqrt(3.0) / np.sqrt(2.0)
+    a = np.eye(3, dtype=np.complex128)
+    a[0, 1], a[1, 0] = t / 2, -t / 2
+    return a
+
+
+@pytest.mark.parametrize("kind, error, message", [
+    ("eigenvalue", NotPsdError, "matrix 1 has negative eigenvalue -"),
+    ("defect", NotHermitianError, "matrix 1 is not Hermitian: "),
+])
+def test_psd_band_edge(kind, error, message):
+    inside, outside = _band_edge(kind, 0.5), _band_edge(kind, 2.0)
+    PsdFamily([inside])
+    parse_instance(instance_dict(MatrixFamily([inside]), "psd"))
+    with pytest.raises(error, match=f"^{message}"):
+        PsdFamily([outside])
+    with pytest.raises(InstanceFormatError, match=f"^invalid psd family: {message}"):
+        parse_instance(instance_dict(MatrixFamily([outside]), "psd"))
 
 
 @pytest.mark.parametrize("diag", [[1e160, -1e150, 1.0], [1e200, -1.0, 1.0]])
