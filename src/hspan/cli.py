@@ -87,9 +87,18 @@ def _resolve_seed(args) -> int:
 
 def _config(args, seed: int) -> ToleranceConfig:
     """The run's ToleranceConfig, which refuses a --rank-tol outside (0, 1).
-    A compare --tol must be a finite distance >= 0."""
+    A compare --tol must be a finite distance >= 0; the draw counts must be
+    --samples >= 1 in random mode, --trials >= 1 and --pairing-trials >= 0."""
     if args.command == "compare" and not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite distance >= 0, got {args.tol}")
+    counts = []
+    if args.command == "compare" and args.mode == "random" and args.samples is not None:
+        counts.append(("--samples", args.samples, 1))
+    if args.command == "verify":
+        counts += [("--trials", args.trials, 1), ("--pairing-trials", args.pairing_trials, 0)]
+    for flag, value, low in counts:
+        if value < low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
     return ToleranceConfig(rank_rel_tol=args.rank_tol, seed=seed)
 
 

@@ -121,38 +121,37 @@ def _face_split(mats) -> np.ndarray:
     (M_k e_{ik}) and, for the family B_1 .. B_k, H H* = G. Entries too large for float64 raise a
     ValueError, with no numpy warning.
     """
-    n = mats[0].shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        h = reduce(lambda h, b: (h[:, :, None] * b[:, None, :]).reshape(n, -1), mats)
+        h = reduce(lambda h, b: (h[:, :, None] * b[:, None, :]).reshape(
+            len(h), h.shape[1] * b.shape[1]), mats)
         return _require_finite(h, "the face-splitting product of B_1 .. B_k")
 
 
 class _FaceSplit:
-    """The wide n x n^k face-splitting matrix H of mats (n, k >= 2), read-only
-    and built one column slice at a time.
+    """The face split H of two or more matrices with the same row count,
+    read-only and built one column slice at a time.
 
-    Holds p = _face_split(mats[:-1]), the n x n^(k-1) face split of all
-    members but the last, and the last member. Column c of H is
-    p[:, c // n] o last[:, c % n], so h[:, j:j + b] needs only the prefix
-    columns j // n .. ceil((j + b) / n) and is bit for bit the slice of the
+    Holds p = _face_split(mats[:-1]), the face split of all matrices but the
+    last, and the last one, of m columns. Column c of H is
+    p[:, c // m] o last[:, c % m], so h[:, j:j + b] needs only the prefix
+    columns j // m .. ceil((j + b) / m) and is bit for bit the slice of the
     whole H. Slicing is the only indexing supported.
     """
 
     def __init__(self, mats):
         self._prefix = _face_split(mats[:-1])
         self._last = mats[-1]
-        n = self._last.shape[0]
-        self.shape = (n, self._prefix.shape[1] * n)
+        self.shape = (self._last.shape[0], self._prefix.shape[1] * self._last.shape[1])
 
     def __getitem__(self, key):
         rows, cols = key
         if rows != slice(None) or cols.step not in (None, 1):
             raise IndexError("a _FaceSplit takes only column slices h[:, j:j + b]")
-        n = self.shape[0]
+        m = self._last.shape[1]
         start, stop, _ = cols.indices(self.shape[1])
-        lo, hi = start // n, -(-stop // n)
+        lo, hi = start // m, -(-stop // m)
         h = _face_split([self._prefix[:, lo:hi], self._last])
-        return h[:, start - lo * n:stop - lo * n]
+        return h[:, start - lo * m:stop - lo * m]
 
 
 def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:

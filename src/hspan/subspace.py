@@ -88,6 +88,12 @@ class Subspace:
         return f"Subspace(ambient_dim={self.ambient_dim}, rank={self.rank})"
 
 
+def _column_windows(rows: int, cols: int) -> list[slice]:
+    """The slices j:j + b, b = max(TSQR_BLOCK, 2 rows), that cover `cols` columns."""
+    b = max(TSQR_BLOCK, 2 * rows)
+    return [slice(j, j + b) for j in range(0, cols, b)]
+
+
 def _wide_factor(a: np.ndarray) -> np.ndarray:
     """The n x n factor R^T of a wide n x m A, where A^T = Q R.
 
@@ -101,10 +107,9 @@ def _wide_factor(a: np.ndarray) -> np.ndarray:
     object with a 2-D .shape and column slices a[:, j:j + b]; this function
     holds one slice and the ceil(m / b) stacked n x n Rs (twice in the QR).
     """
-    b = max(TSQR_BLOCK, 2 * a.shape[0])
-    r = np.vstack([np.linalg.qr(as_matrix(a[:, j:j + b], "A").T, mode="r")
-                   for j in range(0, a.shape[1], b)])
-    return (r if a.shape[1] <= b else np.linalg.qr(r, mode="r")).T
+    windows = _column_windows(*a.shape)
+    r = np.vstack([np.linalg.qr(as_matrix(a[:, w], "A").T, mode="r") for w in windows])
+    return (r if len(windows) == 1 else np.linalg.qr(r, mode="r")).T
 
 
 def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:

@@ -9,8 +9,9 @@ and E = I - Q Q* for the projector onto its orthogonal complement:
 * tensor witness: T = sum_i (B_1* e_i) (x) ... (x) (B_k* e_i) (x) (conj(E) e_i)
   collects the other inclusion into a single vector. Reshaped row-major to
   n^k x n it is (E H)*, with H the n x n^k face-splitting matrix whose row i
-  is B_1[i, :] (x) ... (x) B_k[i, :], so it is assembled by one matrix
-  product from the B_j and E, independently of G;
+  is B_1[i, :] (x) ... (x) B_k[i, :], so its rows are matrix products of
+  columns of conj(H) with conj(E)^T, formed from the B_j and E, independently
+  of G;
 * norm-trace identity: ||T||^2 = trace(E G), which vanishes because E
   annihilates range(G);
 * pairing identity: <(B_1 x_1) o ... o (B_k x_k), E y> =
@@ -28,16 +29,19 @@ decision at 1e-7 or 1e-8.
 
 The random trials run side by side. The draws of t trials are n x t stacks
 X_1 .. X_k and Y; the family side forms all t members at once as
-(B_1 X_1) o ... o (B_k X_k), and the pairing's tensor side computes
-W = T Y once, with T viewed as n^k x n, then contracts W against conj(X_1),
-.., conj(X_k), one slot at a time.
+(B_1 X_1) o ... o (B_k X_k). The tensor side of both identities is one pass
+over T, viewed as n^k x n, in windows of max(TSQR_BLOCK, 2n) rows: each
+window adds to ||T||^2 and is contracted against the same columns of the
+Khatri-Rao rows x_1 (x) ... (x) x_k of the t trials, and then against Y.
+Neither T nor H is held whole by the checks; tensor_witness returns T.
 
 Two conventions hold throughout. The inner product
 <u, v> = sum_i u[i] * conj(v[i]) = np.vdot(v, u) is linear in its first slot
 and conjugate-linear in its second. Tensors are row-major and np.kron is
 left-associated, so the entry of u (x) v at index p * dim(v) + q is
-u[p] * v[q]. The tensor witness and the checks that need it are limited to
-TENSOR_ENTRY_BUDGET entries.
+u[p] * v[q]. The tensor witness and the checks on it are limited to
+n^(k+1) <= TENSOR_ENTRY_BUDGET entries. The checks stream T, but keep the
+rule, so that the same families skip them.
 
 The public identity functions take a family's members as the B_i as given,
 the A_i of a PsdFamily included. Only verify_all reduces a PsdFamily to its
@@ -53,12 +57,12 @@ import numpy as np
 
 from .errors import BudgetExceededError, DimensionError
 from .rng import STREAM_ORTHO, STREAM_PAIRING, complex_gaussian, seed_children
-from .spans import (MatrixFamily, PsdFamily, _face_split, _members,
+from .spans import (MatrixFamily, PsdFamily, _face_split, _FaceSplit, _members,
                     _require_draw_budget, gram_hadamard, psd_hadamard_span)
 # Not called here; bench/tracing.py patches verify.psd_sqrt until ROADMAP item 7.
 from .spans import psd_sqrt  # noqa: F401
-from .subspace import (ToleranceConfig, as_matrix, complement_projector,
-                       range_basis, subspace_distance)
+from .subspace import (ToleranceConfig, _column_windows, as_matrix,
+                       complement_projector, range_basis, subspace_distance)
 
 COLUMN_IDENTITY_TOL = 1e-13
 PAIRING_TOL = 1e-12
@@ -158,38 +162,51 @@ def _require_tensor_budget(family: MatrixFamily):
 
 
 def tensor_witness(family: MatrixFamily, cfg: ToleranceConfig) -> np.ndarray:
-    """The witness vector T of dimension n^(k+1); the span equality says T = 0."""
+    """The witness vector T of dimension n^(k+1); the span equality says T = 0.
+
+    T is built and returned whole, n^(k+1) entries beside as many of conj(H).
+    The checks on T (norm_trace_identity, pairing_identity_residual and
+    verify_all) never hold it: they stream it one window of rows at a time.
+    """
     _require_tensor_budget(family)
     _, _, e = _complement(family, cfg)
     return _tensor_from(family, e)
 
 
+def _tensor_sides(family: MatrixFamily, e: np.ndarray, xs, y) -> tuple[float, np.ndarray]:
+    """The tensor side of both identities, T viewed as n^k x n: (||T||^2,
+    <x_1 (x) ... (x) x_k (x) conj(y), T> per column of the n x t stacks X_j and Y).
+
+    Row c of T is conj(H)[:, c]^T conj(E)^T, so T is walked in windows of
+    b = max(TSQR_BLOCK, 2n) rows, each built from the same columns of conj(H),
+    a _FaceSplit. Each window is contracted against the same columns of
+    conj(K), where K = face_split(X_1^T .. X_k^T) holds the t Khatri-Rao rows
+    x_1 (x) ... (x) x_k; the pairing is the conjugate of the diagonal of
+    conj(K) T Y. Neither T nor conj(H) is held, and G and the members
+    B_j X_j are never formed.
+    """
+    n, k = family.n, family.k
+    split = _FaceSplit if n**k > n else _face_split
+    h_bar, kr_bar = split([b.conj() for b in family]), split([x.T.conj() for x in xs])
+    e_bar = np.conj(e).T
+    norm_sq, z = 0.0, np.zeros((y.shape[1], n), dtype=np.complex128)
+    for w in _column_windows(n, n**k):
+        rows = h_bar[:, w].T @ e_bar
+        norm_sq += np.vdot(rows, rows).real
+        z += kr_bar[:, w] @ rows
+    return float(norm_sq), np.conj(np.einsum("ti,it->t", z, y))
+
+
 def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig) -> tuple[float, complex]:
     """Both sides of ||T||^2 = trace(E G), computed independently.
 
-    The norm side sums |T_p|^2 over the explicit tensor; the trace side is a
-    plain matrix product, no tensor involved.
+    The norm side sums |T_p|^2 over T, one window of rows at a time; the
+    trace side is a plain matrix product, no tensor involved.
     """
     _require_tensor_budget(family)
     g, _, e = _complement(family, cfg)
-    return _norm_trace(_tensor_from(family, e), e, g)
-
-
-def _norm_trace(t, e, g) -> tuple[float, complex]:
-    """(sum_p |T_p|^2, trace(E G)): the norm side never sees G, the trace
-    side never sees T."""
-    return float(np.sum(np.abs(t) ** 2)), complex(np.trace(e @ g))
-
-
-def _tensor_pairing(xs, y, t) -> np.ndarray:
-    """<x_1 (x) ... (x) x_k (x) conj(y), T> per column of the n x t stacks, T viewed
-    as n^k x n. W = T Y, contracted slot by slot against conj(X_j), is its conjugate;
-    no n^(k+1)-long or n^k x t Khatri-Rao product is formed."""
-    n, trials = y.shape
-    w = t.reshape(-1, n) @ y
-    for x in xs:
-        w = np.einsum("ipt,it->pt", w.reshape(n, len(w) // n, trials), np.conj(x))
-    return np.conj(w[0])
+    empty = np.empty((family.n, 0))
+    return _tensor_sides(family, e, [empty] * family.k, empty)[0], complex(np.trace(e @ g))
 
 
 def _draws(family: MatrixFamily, seed: int, stream: int, trials: int):
@@ -208,9 +225,10 @@ def _family_pairing(family, xs, y, e, scale) -> tuple[np.ndarray, np.ndarray]:
     return lhs, scale * np.prod(np.linalg.norm(xs, axis=1), axis=0) * np.linalg.norm(y, axis=0)
 
 
-def _pairing_residual(family, xs, y, e, t, scale) -> np.ndarray:
+def _pairing_residual(family, xs, y, e, paired, scale) -> np.ndarray:
+    """Per column: the family side's distance from `paired`, the tensor side."""
     lhs, norm = _family_pairing(family, xs, y, e, scale)
-    return np.abs(lhs - _tensor_pairing(xs, y, t)) / np.maximum(1.0, norm)
+    return np.abs(lhs - paired) / np.maximum(1.0, norm)
 
 
 def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig) -> float:
@@ -232,9 +250,9 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
         raise DimensionError(f"y has shape {y.shape}, expected ({family.n},)")
     _require_tensor_budget(family)
     _, _, e = _complement(family, cfg)
-    t = _tensor_from(family, e)
-    return float(_pairing_residual(family, np.stack(xs)[..., None], y[:, None], e, t,
-                                   family_scale(family))[0])
+    xs, y = np.stack(xs)[..., None], y[:, None]
+    paired = _tensor_sides(family, e, xs, y)[1]
+    return float(_pairing_residual(family, xs, y, e, paired, family_scale(family))[0])
 
 
 def _orthogonality_residuals(family, trials, cfg, e, scale) -> list[float]:
@@ -266,8 +284,10 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     between range(A_1 o ... o A_k) and the root family's span, which the PSD
     specialization asserts is zero.
     """
-    if pairing_trials < 0 or orthogonality_trials < 1:
-        raise ValueError("trial counts out of range")
+    if pairing_trials < 0:
+        raise ValueError(f"pairing_trials must be >= 0, got {pairing_trials}")
+    if orthogonality_trials < 1:
+        raise ValueError(f"orthogonality_trials must be >= 1, got {orthogonality_trials}")
     n, k = family.n, family.k
     with_tensor = n ** (k + 1) <= TENSOR_ENTRY_BUDGET
     _require_draw_budget((k + 1) * n, orthogonality_trials)
@@ -290,16 +310,16 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     tensor_norm_sq = trace_eg = norm_trace_gap = None
     pairing_residuals: list[float] = []
     if with_tensor:
-        t = _tensor_from(bfam, e)
-        tensor_norm_sq, trace_eg = _norm_trace(t, e, g)
+        xs, y = _draws(bfam, cfg.seed, STREAM_PAIRING, pairing_trials)
+        tensor_norm_sq, paired = _tensor_sides(bfam, e, xs, y)
+        trace_eg = complex(np.trace(e @ g))
         norm_trace_gap = abs(tensor_norm_sq - trace_eg.real)
         s2 = scale * scale
         checks["norm_trace"] = (norm_trace_gap <= NORM_TRACE_TOL * s2
                                 and tensor_norm_sq <= NORM_TRACE_TOL * s2
                                 and abs(trace_eg.real) <= NORM_TRACE_TOL * s2
                                 and abs(trace_eg.imag) <= NORM_TRACE_IMAG_TOL * s2)
-        pairing_residuals = _pairing_residual(
-            bfam, *_draws(bfam, cfg.seed, STREAM_PAIRING, pairing_trials), e, t, scale).tolist()
+        pairing_residuals = _pairing_residual(bfam, xs, y, e, paired, scale).tolist()
         checks["pairing"] = max(pairing_residuals, default=0.0) <= PAIRING_TOL
     else:
         skipped.extend(["norm_trace", "pairing"])

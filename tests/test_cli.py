@@ -307,6 +307,22 @@ def test_bad_tolerance_flags_exit_two(instance, capsys, argv, message):
     assert err.splitlines() == [f"hspan: {message}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--trials=0"], "--trials must be >= 1, got 0"),
+    (["verify", "--pairing-trials=-1"], "--pairing-trials must be >= 0, got -1"),
+    (["compare", "--mode=random", "--samples=0"], "--samples must be >= 1, got 0"),
+], ids=["trials-0", "pairing-trials-negative", "samples-0"])
+def test_bad_counts_exit_two_once_before_any_file(tmp_path, monkeypatch, capsys, argv, message):
+    paths = [str(tmp_path / f"inst{i}.json") for i in range(3)]
+    for path in paths:
+        write_instance(path, MatrixFamily([np.eye(2)]), "general")
+    monkeypatch.setattr(cli, "load_instance", lambda path: pytest.fail(f"{path} was read"))
+    assert cli.main([argv[0], *paths, *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"hspan: {message}"]
+
+
 def test_non_finite_report_exits_two(tmp_path, monkeypatch, capsys):
     path = tmp_path / "inst.json"
     write_instance(path, MatrixFamily([np.eye(2)]), "general")

@@ -239,15 +239,19 @@ def test_oracle_equals_range_basis_of_whole_face_split(fam):
 
 
 def test_face_split_slices_equal_the_whole():
-    mats = list(gaussian_family(6, 3, 72))
-    h = hspan.spans._face_split(mats)
-    lazy = hspan.spans._FaceSplit(mats)
-    assert lazy.shape == h.shape
-    for j, b in ((0, 5), (1, 6), (4, 31), (200, 16), (213, 100)):
-        assert np.array_equal(lazy[:, j:j + b], h[:, j:j + b])
-    assert np.array_equal(lazy[:, :], h)
-    with pytest.raises(IndexError):
-        lazy[0:1, 0:4]
+    rng = np.random.default_rng(75)
+    cases = (list(gaussian_family(6, 3, 72)),
+             [complex_gaussian(rng, 3, 6) for _ in range(3)],  # t = 3 Khatri-Rao rows, n = 6
+             [complex_gaussian(rng, 4, m) for m in (6, 5, 7)])
+    for mats in cases:
+        h = hspan.spans._face_split(mats)
+        lazy = hspan.spans._FaceSplit(mats)
+        assert lazy.shape == h.shape
+        for j, b in ((0, 5), (1, 6), (4, 31), (10, 23), (200, 16), (213, 100)):
+            assert np.array_equal(lazy[:, j:j + b], h[:, j:j + b])
+        assert np.array_equal(lazy[:, :], h)
+        with pytest.raises(IndexError):
+            lazy[0:1, 0:4]
 
 
 def test_oracle_never_holds_the_face_split():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -7,6 +8,7 @@ import pytest
 
 import families
 import hspan.spans
+import hspan.subspace
 import hspan.verify as hv
 from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    PsdFamily, ToleranceConfig, column_identity_residual,
@@ -132,7 +134,7 @@ def test_pairing_identity_with_hermitian_non_projector(fam, m):
     draws = [[complex_gaussian(rng, fam.n) for _ in range(fam.k + 1)] for _ in range(3)]
     *xs, y = [np.column_stack(vs) for vs in zip(*draws)]
     t = hv._tensor_from(fam, e)
-    paired = hv._tensor_pairing(xs, y, t)
+    paired = hv._tensor_sides(fam, e, xs, y)[1]
     assert paired.shape == (3,)
     for i in range(3):
         xi, yi = [x[:, i] for x in xs], y[:, i]
@@ -140,7 +142,28 @@ def test_pairing_identity_with_hermitian_non_projector(fam, m):
         assert abs(expected) >= 1e-3 * family_scale(fam) * np.prod(
             [np.linalg.norm(x) for x in xi]) * np.linalg.norm(yi)
         assert abs(paired[i] - expected) <= 1e-12 * abs(expected)
-    assert max(hv._pairing_residual(fam, xs, y, e, t, family_scale(fam))) <= hv.PAIRING_TOL
+    assert max(hv._pairing_residual(fam, xs, y, e, paired, family_scale(fam))) <= hv.PAIRING_TOL
+
+
+@pytest.mark.parametrize("block", [None, 4, 23], ids=["default-block", "block-4", "block-23"])
+@pytest.mark.parametrize("trials", [0, 1, 3])
+@pytest.mark.parametrize("fam, m", list(witness_cases()))
+def test_tensor_sides_match_the_explicit_witness(monkeypatch, fam, m, trials, block):
+    # the default block takes T in one window, 4 gives windows of 2n rows, and
+    # 23 gives windows that end inside the n rows of one prefix column
+    if block is not None:
+        monkeypatch.setattr(hspan.subspace, "TSQR_BLOCK", block)
+    rng = np.random.default_rng(102)
+    *xs, y = [complex_gaussian(rng, fam.n, trials) for _ in range(fam.k + 1)]
+    norm_sq, paired = hv._tensor_sides(fam, m, xs, y)
+    ref = kron_sum_tensor(fam, m)
+    t = hv._tensor_from(fam, m)
+    for whole in (ref, t):
+        assert abs(norm_sq - np.vdot(whole, whole).real) <= 1e-13 * np.vdot(whole, whole).real
+    assert paired.shape == (trials,)
+    for i in range(trials):
+        expected = np.vdot(ref, reduce(np.kron, [x[:, i] for x in xs] + [np.conj(y[:, i])]))
+        assert abs(paired[i] - expected) <= 1e-12 * abs(expected)
 
 
 def test_norm_trace_identity_agrees():
@@ -237,6 +260,30 @@ def test_verify_all_deterministic():
     assert verify_all(fam, CFG).to_dict() == verify_all(fam, CFG).to_dict()
 
 
+@pytest.mark.parametrize("n, k", [(31, 3), (15, 4)])
+def test_verify_all_never_holds_the_witness(n, k):
+    # both run the tensor checks; T and conj(H) have n^(k+1) entries each
+    rng = np.random.default_rng(103)
+    fam = MatrixFamily([complex_gaussian(rng, n, n) for _ in range(k)])
+    witness_bytes = 16 * n ** (k + 1)
+    tracemalloc.start()
+    try:
+        rep = verify_all(fam, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.skipped == () and rep.passed
+    assert peak < witness_bytes / 4
+
+
+def test_verify_all_names_a_bad_trial_count():
+    fam = MatrixFamily([np.eye(2)])
+    with pytest.raises(ValueError, match=r"^pairing_trials must be >= 0, got -1$"):
+        verify_all(fam, CFG, pairing_trials=-1)
+    with pytest.raises(ValueError, match=r"^orthogonality_trials must be >= 1, got 0$"):
+        verify_all(fam, CFG, orthogonality_trials=0)
+
+
 def test_verify_all_skips_over_budget_tensor():
     fam = MatrixFamily([np.eye(16)] * 4)
     rep = verify_all(fam, CFG, orthogonality_trials=5)
@@ -290,7 +337,8 @@ def test_verify_all_agrees_with_identity_functions(fam):
         draws.append([complex_gaussian(rng, fam.n) for _ in range(fam.k + 1)])
     *xs, y = [np.column_stack(vs) for vs in zip(*draws)]
     _, _, e = hv._complement(fam, CFG)
-    expected = hv._pairing_residual(fam, xs, y, e, hv._tensor_from(fam, e), family_scale(fam))
+    paired = hv._tensor_sides(fam, e, xs, y)[1]
+    expected = hv._pairing_residual(fam, xs, y, e, paired, family_scale(fam))
     assert list(rep.pairing_residuals) == expected.tolist()
 
 
