@@ -87,11 +87,12 @@ def _resolve_seed(args) -> int:
 
 def _config(args, seed: int) -> ToleranceConfig:
     """The run's ToleranceConfig, which refuses a --rank-tol outside (0, 1).
-    A compare --tol must be a finite distance >= 0; the draw counts must be
-    --samples >= 1 in random mode, --trials >= 1 and --pairing-trials >= 0."""
+    A compare --tol must be a finite distance >= 0; the counts must be
+    --jobs >= 1, --samples >= 1 in random mode, --trials >= 1 and
+    --pairing-trials >= 0."""
     if args.command == "compare" and not (math.isfinite(args.tol) and args.tol >= 0):
         raise ValueError(f"--tol must be a finite distance >= 0, got {args.tol}")
-    counts = []
+    counts = [("--jobs", args.jobs, 1)]
     if args.command == "compare" and args.mode == "random" and args.samples is not None:
         counts.append(("--samples", args.samples, 1))
     if args.command == "verify":
@@ -206,12 +207,11 @@ def main(argv=None) -> int:
         return _run_gen(args, seed)
 
     runner = {"span": _run_span, "compare": _run_compare, "verify": _run_verify}[args.command]
-    jobs = max(1, args.jobs)
-    if jobs == 1 or len(args.files) == 1:
+    if args.jobs == 1 or len(args.files) == 1:
         results = [_run_file(runner, path, args, cfg) for path in args.files]
     else:
         from concurrent.futures import ThreadPoolExecutor  # ~7 ms of start-up, so only here
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             futures = [pool.submit(_run_file, runner, path, args, cfg) for path in args.files]
             results = [f.result() for f in futures]
 

@@ -118,19 +118,6 @@ def write_instance(path, family: MatrixFamily, kind: str) -> None:
         fh.write(dump_instance(family, kind))
 
 
-def _parse_entry(entry) -> complex:
-    if (not isinstance(entry, list) or len(entry) != 2
-            or not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)):
-        raise InstanceFormatError(f"entry must be a [re, im] number pair, got {entry!r}")
-    try:
-        finite = math.isfinite(entry[0]) and math.isfinite(entry[1])
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise InstanceFormatError(f"non-finite entry {entry!r}")
-    return complex(entry[0], entry[1])
-
-
 def _walk_matrices(mats_obj, n: int) -> list:
     """Decode `matrices` entry by entry; the first bad row or entry raises an
     InstanceFormatError that names it."""
@@ -143,11 +130,18 @@ def _walk_matrices(mats_obj, n: int) -> list:
             if not isinstance(row, list) or len(row) != n:
                 raise InstanceFormatError(f"matrix {mi + 1} row {ri + 1} must have {n} entries")
             for ci, entry in enumerate(row):
+                pair = (isinstance(entry, list) and len(entry) == 2
+                        and all(isinstance(p, (int, float)) and not isinstance(p, bool)
+                                for p in entry))
                 try:
-                    m[ri, ci] = _parse_entry(entry)
-                except InstanceFormatError as exc:
+                    finite = pair and math.isfinite(entry[0]) and math.isfinite(entry[1])
+                except OverflowError:  # an integer too large for a float
+                    finite = False
+                if not finite:
+                    what = "non-finite entry" if pair else "entry must be a [re, im] number pair, got"
                     raise InstanceFormatError(
-                        f"matrix {mi + 1} row {ri + 1} col {ci + 1}: {exc}") from None
+                        f"matrix {mi + 1} row {ri + 1} col {ci + 1}: {what} {entry!r}")
+                m[ri, ci] = complex(entry[0], entry[1])
         mats.append(m)
     return mats
 

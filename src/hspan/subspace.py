@@ -122,17 +122,13 @@ def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
     and a wide A may be any object with a 2-D .shape and column slices
     a[:, j:j + b] (basis_product_oracle passes one that builds each slice of
     its n x n^k matrix on demand); its non-finite entries are found slice by
-    slice.
+    slice. An empty spectrum has sigma_1 = 0: rank 0, and a 0-row A is refused.
     """
     if not (hasattr(a, "shape") and len(a.shape) == 2 and a.shape[1] > a.shape[0]):
         a = as_matrix(a, "A")  # a wide A is coerced one slice at a time
     n, cols = a.shape
-    if cols == 0:
-        return Subspace(np.zeros((n, 0), dtype=np.complex128), 0.0)
     u, s, _ = np.linalg.svd(_wide_factor(a) if cols > n else a, full_matrices=False)
-    if s[0] == 0.0:
-        return Subspace(np.zeros((n, 0), dtype=np.complex128), 0.0)
-    cutoff = cfg.rank_rel_tol * max(a.shape) * s[0]
+    cutoff = cfg.rank_rel_tol * max(a.shape) * (s[0] if s.size else 0.0)
     r = int(np.count_nonzero(s > cutoff))
     return Subspace(u[:, :r], cutoff)
 

@@ -237,7 +237,8 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
 
     The left side works in C^n (entrywise products, one projector matvec);
     the right side pairs x_1 (x) ... (x) x_k in C^(n^k) with T y, where T is
-    the explicit witness viewed as an n^k x n matrix.
+    the explicit witness viewed as an n^k x n matrix. Vectors whose
+    normalizer overflows float64 are refused before any tensor work.
     """
     xs = [as_matrix(x, "slot vector", ndim=1) for x in xs]
     y = as_matrix(y, "y", ndim=1)
@@ -250,9 +251,15 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
         raise DimensionError(f"y has shape {y.shape}, expected ({family.n},)")
     _require_tensor_budget(family)
     _, _, e = _complement(family, cfg)
+    scale = family_scale(family)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = scale * np.prod([np.linalg.norm(x) for x in xs]) * np.linalg.norm(y)
+    if not np.isfinite(norm):
+        raise ValueError("slot vectors or y too large: "
+                         "prod_i ||B_i||_F * prod_j ||x_j|| * ||y|| overflows")
     xs, y = np.stack(xs)[..., None], y[:, None]
     paired = _tensor_sides(family, e, xs, y)[1]
-    return float(_pairing_residual(family, xs, y, e, paired, family_scale(family))[0])
+    return float(_pairing_residual(family, xs, y, e, paired, scale)[0])
 
 
 def _orthogonality_residuals(family, trials, cfg, e, scale) -> list[float]:

@@ -311,7 +311,8 @@ def test_bad_tolerance_flags_exit_two(instance, capsys, argv, message):
     (["verify", "--trials=0"], "--trials must be >= 1, got 0"),
     (["verify", "--pairing-trials=-1"], "--pairing-trials must be >= 0, got -1"),
     (["compare", "--mode=random", "--samples=0"], "--samples must be >= 1, got 0"),
-], ids=["trials-0", "pairing-trials-negative", "samples-0"])
+    (["span", "--jobs=0"], "--jobs must be >= 1, got 0"),
+], ids=["trials-0", "pairing-trials-negative", "samples-0", "jobs-0"])
 def test_bad_counts_exit_two_once_before_any_file(tmp_path, monkeypatch, capsys, argv, message):
     paths = [str(tmp_path / f"inst{i}.json") for i in range(3)]
     for path in paths:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hspan import (DimensionError, MatrixFamily, Subspace, ToleranceConfig,
                    complement_projector, pairing_identity_residual,
-                   range_basis, subspace_distance)
+                   random_sample_span, range_basis, subspace_distance)
 from hspan import subspace
 from hspan.rng import complex_gaussian
 
@@ -55,10 +55,12 @@ def test_range_basis_identity():
     assert s.ambient_dim == 3
 
 
-def test_range_basis_zero_matrix():
-    s = range_basis(np.zeros((4, 4)), CFG)
+@pytest.mark.parametrize("shape", [(4, 4), (3, 0)], ids=["4x4", "3x0"])
+def test_range_basis_zero_matrix(shape):
+    # an empty spectrum counts as sigma_1 = 0, like an all-zero one
+    s = range_basis(np.zeros(shape), CFG)
     assert s.rank == 0
-    assert s.basis.shape == (4, 0)
+    assert s.basis.shape == (shape[0], 0)
     assert s.tol_used == 0.0
 
 
@@ -165,8 +167,23 @@ def test_wide_reduction_makes_no_full_size_copy():
     assert peak < a.nbytes / 4
 
 
-def test_range_basis_wide_zero_matrix():
-    s = range_basis(np.zeros((3, 50)), CFG)
+WIDE_ZERO = {
+    "3x50": lambda: range_basis(np.zeros((3, 50)), CFG),
+    # no ambient dimension: the DimensionError of a 0 x 0 input, on one
+    # TSQR slice and on three
+    "0x5": lambda: range_basis(np.zeros((0, 5)), CFG),
+    "0x3000": lambda: range_basis(np.zeros((0, 3000)), CFG),
+    "sampler-0x0": lambda: random_sample_span(MatrixFamily([np.zeros((0, 0))]), 3, CFG),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WIDE_ZERO))
+def test_range_basis_wide_zero_matrix(case):
+    if case != "3x50":
+        with pytest.raises(DimensionError, match=r"^ambient dimension must be positive$"):
+            WIDE_ZERO[case]()
+        return
+    s = WIDE_ZERO[case]()
     assert s.rank == 0
     assert s.basis.shape == (3, 0)
     assert s.tol_used == 0.0

@@ -211,6 +211,19 @@ def test_pairing_identity_validates_shapes():
         pairing_identity_residual(fam, [x, x], np.ones(5), CFG)
 
 
+def test_pairing_identity_refuses_overflowing_vectors():
+    # the members (B_j x_j) are finite, but ||x_1|| ||x_2|| ||y|| and the
+    # Kronecker product x_1 (x) x_2 are not: the vectors are blamed, not the members
+    fam = MatrixFamily([np.diag([1e-200, 1.0, 1.0]), np.diag([1e-200, 1.0, 0.0])])
+    x = np.array([1e200, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^slot vectors or y too large: "
+                                             r"prod_i \|\|B_i\|\|_F \* prod_j \|\|x_j\|\| "
+                                             r"\* \|\|y\|\| overflows$"):
+            pairing_identity_residual(fam, [x, x], np.ones(3), CFG)
+
+
 def test_orthogonality_full_rank_is_tiny():
     fam = MatrixFamily([np.eye(4), np.eye(4)])
     assert max(orthogonality_check(fam, 10, CFG)) <= 1e-14
