@@ -95,6 +95,25 @@ def _require_finite(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
+def _log2_norm(m: np.ndarray) -> float:
+    """log2 ||m||_F, taken after scaling m by its largest real or imaginary
+    part, so that it neither underflows nor overflows; -inf for a zero m."""
+    top = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
+    return float(np.log2(top) + np.log2(np.linalg.norm(m / top))) if top else -np.inf
+
+
+def _require_normal(members, what: str, power: int = 1) -> None:
+    """Refuse a product whose factor j has ||.||_F <= ||members[j]||_F^power
+    when a factor or a partial product, in reduce order, may lie wholly below
+    float64's smallest normal number. ||X o Y||_F <= ||X||_F ||Y||_F bounds
+    each one, as a sum of log2 norms that cannot underflow itself. A zero
+    member makes the product exactly zero and is exempt. Raises a ValueError
+    naming `what`."""
+    logs = [power * _log2_norm(m) for m in members]
+    if -np.inf not in logs and min(*logs, *np.cumsum(logs)) < np.finfo(np.float64).minexp:
+        raise ValueError(f"matrix entries too small: {what} underflows")
+
+
 def _hadamard_product(mats, what: str) -> np.ndarray:
     """Entrywise product of the matrices `mats` yields. Entries too large for
     float64 raise a ValueError naming `what`, with no numpy warning."""
@@ -103,9 +122,11 @@ def _hadamard_product(mats, what: str) -> np.ndarray:
 
 
 def gram_hadamard(family: MatrixFamily) -> np.ndarray:
-    """G = (B_1 B_1*) o ... o (B_k B_k*), Hermitian PSD by the Schur product theorem."""
-    return _hadamard_product((b @ b.conj().T for b in family),
-                             "the Gram product (B_1 B_1*) o ... o (B_k B_k*)")
+    """G = (B_1 B_1*) o ... o (B_k B_k*), Hermitian PSD by the Schur product
+    theorem. ||B_j B_j*||_F <= ||B_j||_F^2 bounds the underflow check."""
+    what = "the Gram product (B_1 B_1*) o ... o (B_k B_k*)"
+    _require_normal(family, what, power=2)
+    return _hadamard_product((b @ b.conj().T for b in family), what)
 
 
 def hadamard_span(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
@@ -154,6 +175,13 @@ class _FaceSplit:
         return h[:, start - lo * m:stop - lo * m]
 
 
+def _face_split_view(mats):
+    """The face split H of `mats`: a _FaceSplit when there are at least two
+    factors and H is wide, else the whole H; their slices are bit for bit equal."""
+    wide = len(mats) > 1 and np.prod([m.shape[1] for m in mats]) > mats[0].shape[0]
+    return _FaceSplit(mats) if wide else _face_split(mats)
+
+
 def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
     """Brute-force span of all n^k basis-combination products.
 
@@ -172,8 +200,8 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace
     if n**k > ORACLE_COLUMN_BUDGET:
         raise BudgetExceededError(
             f"oracle needs n^k = {n**k} columns, budget is {ORACLE_COLUMN_BUDGET}")
-    mats = list(family)
-    return range_basis(_FaceSplit(mats) if n**k > n else _face_split(mats), cfg)
+    _require_normal(family, "the face-splitting product of B_1 .. B_k")
+    return range_basis(_face_split_view(list(family)), cfg)
 
 
 def sample_count(n: int) -> int:
@@ -197,14 +225,22 @@ def _require_draw_budget(rows: int, count: int) -> None:
             f"budget is {DRAW_ENTRY_BUDGET}")
 
 
+def _draw_stack(seed: int, stream: int, vectors: int, n: int, count: int) -> np.ndarray:
+    """vectors x n x count; column s is complex_gaussian(default_rng(child_s), vectors, n),
+    child_s the s-th child of (seed, stream). Refused over budget before any seeding."""
+    _require_draw_budget(vectors * n, count)
+    xs = np.empty((vectors, n, count), dtype=np.complex128)
+    for s, child in enumerate(seed_children(seed, stream, count)):
+        xs[:, :, s] = complex_gaussian(np.random.default_rng(child), vectors, n)
+    return xs
+
+
 def _sample_span(family, cfg, stream, samples, shared) -> Subspace:
     """range_basis of `samples` members. Sample s draws, from the s-th child of
-    (cfg.seed, stream), one x shared by every slot, or k slot vectors in order."""
-    per_child = 1 if shared else family.k
-    _require_draw_budget(per_child * family.n, samples)
-    xs = np.empty((per_child, family.n, samples), dtype=np.complex128)
-    for s, child in enumerate(seed_children(cfg.seed, stream, samples)):
-        xs[:, :, s] = complex_gaussian(np.random.default_rng(child), per_child, family.n)
+    (cfg.seed, stream), one x shared by every slot, or k slot vectors in order.
+    A family whose members underflow for unit x_j is refused before any draw."""
+    _require_normal(family, "the sampled product (B_1 x_1) o ... o (B_k x_k)")
+    xs = _draw_stack(cfg.seed, stream, 1 if shared else family.k, family.n, samples)
     return range_basis(_members(family, [xs[0]] * family.k if shared else xs), cfg)
 
 
@@ -249,7 +285,9 @@ def psd_hadamard_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:
     """Span of the PSD-family products, computed as range(A_1 o ... o A_k)."""
     if not isinstance(family, PsdFamily):
         raise NotPsdError("psd_hadamard_span needs a PsdFamily")
-    return range_basis(_hadamard_product(family, "the product A_1 o ... o A_k"), cfg)
+    what = "the product A_1 o ... o A_k"
+    _require_normal(family, what)
+    return range_basis(_hadamard_product(family, what), cfg)
 
 
 def single_vector_sample_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:

@@ -56,11 +56,11 @@ from functools import reduce
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionError
-from .rng import STREAM_ORTHO, STREAM_PAIRING, complex_gaussian, seed_children
-from .spans import (MatrixFamily, PsdFamily, _face_split, _FaceSplit, _members,
-                    _require_draw_budget, gram_hadamard, psd_hadamard_span)
-# Not called here; bench/tracing.py patches verify.psd_sqrt until ROADMAP item 7.
-from .spans import psd_sqrt  # noqa: F401
+from .rng import STREAM_ORTHO, STREAM_PAIRING
+from .spans import (MatrixFamily, PsdFamily, _draw_stack, _face_split, _face_split_view, _members,
+                    _require_draw_budget, _require_finite, gram_hadamard, psd_hadamard_span)
+# Not called here; bench/tracing.py patches them in verify until ROADMAP item 4.
+from .spans import complex_gaussian, psd_sqrt, seed_children  # noqa: F401
 from .subspace import (ToleranceConfig, _column_windows, as_matrix,
                        complement_projector, range_basis, subspace_distance)
 
@@ -78,8 +78,7 @@ def family_scale(family: MatrixFamily) -> float:
     scale^2, the norm-trace tolerance's unit, overflows is rejected."""
     with np.errstate(over="ignore"):
         scale = float(np.prod([np.linalg.norm(b) for b in family]))
-    if scale * scale == np.inf:
-        raise ValueError("matrix entries too large: (prod_i ||B_i||_F)^2 overflows")
+    _require_finite(scale * scale, "(prod_i ||B_i||_F)^2")
     return scale
 
 
@@ -123,10 +122,7 @@ def column_identity_residual(family: MatrixFamily) -> float:
 
 def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
     with np.errstate(over="ignore"):
-        g_norm = float(np.linalg.norm(g))
-    if g_norm == np.inf:
-        raise ValueError("matrix entries too large: ||G||_F overflows")
-    denom = max(1.0, g_norm)
+        denom = max(1.0, _require_finite(float(np.linalg.norm(g)), "||G||_F"))
     worst = 0.0
     for i in range(family.n):
         col = reduce(np.multiply, (b @ b[i].conj() for b in family))
@@ -186,8 +182,8 @@ def _tensor_sides(family: MatrixFamily, e: np.ndarray, xs, y) -> tuple[float, np
     B_j X_j are never formed.
     """
     n, k = family.n, family.k
-    split = _FaceSplit if n**k > n else _face_split
-    h_bar, kr_bar = split([b.conj() for b in family]), split([x.T.conj() for x in xs])
+    h_bar = _face_split_view([b.conj() for b in family])
+    kr_bar = _face_split_view([x.T.conj() for x in xs])
     e_bar = np.conj(e).T
     norm_sq, z = 0.0, np.zeros((y.shape[1], n), dtype=np.complex128)
     for w in _column_windows(n, n**k):
@@ -209,15 +205,6 @@ def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig) -> tuple[flo
     return _tensor_sides(family, e, [empty] * family.k, empty)[0], complex(np.trace(e @ g))
 
 
-def _draws(family: MatrixFamily, seed: int, stream: int, trials: int):
-    """Trial stacks (X, Y): X is k x n x trials, Y is n x trials. Column i is
-    drawn from the i-th child of (seed, stream), slot vectors first, then y."""
-    draws = np.empty((family.k + 1, family.n, trials), dtype=np.complex128)
-    for i, child in enumerate(seed_children(seed, stream, trials)):
-        draws[:, :, i] = complex_gaussian(np.random.default_rng(child), family.k + 1, family.n)
-    return draws[:-1], draws[-1]
-
-
 def _family_pairing(family, xs, y, e, scale) -> tuple[np.ndarray, np.ndarray]:
     """Per column: (<(B_1 x_1) o ... o (B_k x_k), E y>, scale * prod ||x_j|| * ||y||),
     computed in C^n without the tensor witness."""
@@ -236,9 +223,10 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
     normalized by max(1, scale * prod ||x_j|| * ||y||).
 
     The left side works in C^n (entrywise products, one projector matvec);
-    the right side pairs x_1 (x) ... (x) x_k in C^(n^k) with T y, where T is
-    the explicit witness viewed as an n^k x n matrix. Vectors whose
-    normalizer overflows float64 are refused before any tensor work.
+    the right side pairs x_1 (x) ... (x) x_k in C^(n^k) with T y, T viewed
+    as n^k x n and streamed in windows of rows by _tensor_sides, never held.
+    Vectors whose normalizer overflows float64 are refused before any tensor
+    work.
     """
     xs = [as_matrix(x, "slot vector", ndim=1) for x in xs]
     y = as_matrix(y, "y", ndim=1)
@@ -263,7 +251,8 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
 
 
 def _orthogonality_residuals(family, trials, cfg, e, scale) -> list[float]:
-    lhs, norm = _family_pairing(family, *_draws(family, cfg.seed, STREAM_ORTHO, trials), e, scale)
+    *xs, y = _draw_stack(cfg.seed, STREAM_ORTHO, family.k + 1, family.n, trials)
+    lhs, norm = _family_pairing(family, xs, y, e, scale)
     out = np.abs(lhs) / np.where(norm == 0.0, 1.0, norm)
     out[(norm == 0.0) & (lhs != 0.0)] = np.inf
     return out.tolist()
@@ -298,7 +287,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     n, k = family.n, family.k
     with_tensor = n ** (k + 1) <= TENSOR_ENTRY_BUDGET
     _require_draw_budget((k + 1) * n, orthogonality_trials)
-    if with_tensor:  # a pairing trial also holds a column of T Y, n^k entries
+    if with_tensor:  # the n^k term keeps refusing the same inputs until ROADMAP item 7
         _require_draw_budget((k + 1) * n + n ** k, pairing_trials)
     psd_input = isinstance(family, PsdFamily)
     if psd_input:
@@ -317,7 +306,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     tensor_norm_sq = trace_eg = norm_trace_gap = None
     pairing_residuals: list[float] = []
     if with_tensor:
-        xs, y = _draws(bfam, cfg.seed, STREAM_PAIRING, pairing_trials)
+        *xs, y = _draw_stack(cfg.seed, STREAM_PAIRING, k + 1, n, pairing_trials)
         tensor_norm_sq, paired = _tensor_sides(bfam, e, xs, y)
         trace_eg = complex(np.trace(e @ g))
         norm_trace_gap = abs(tensor_norm_sq - trace_eg.real)

@@ -188,6 +188,64 @@ def test_overflowing_oracle_products_exit_two(tmp_path, mode, product):
     assert err == f"hspan compare: {path}: matrix entries too large: {product} overflows\n"
 
 
+CLI_COMMANDS = (("span",), ("compare", "--mode", "basis"), ("compare", "--mode", "random"),
+                ("verify",))
+
+
+def test_underflowing_products_exit_two(tmp_path):
+    # the true rank is 3 in every file; a product, or a factor or partial product of it, underflows
+    gram = "the Gram product (B_1 B_1*) o ... o (B_k B_k*)"
+    cases = [("1e-110x3", [1e-110 * np.eye(3)] * 3, "general", gram),
+             ("1e-160x2", [1e-160 * np.eye(3)] * 2, "general", gram),
+             ("psd-1e-300x2", [1e-300 * np.eye(3)] * 2, "psd", "the product A_1 o ... o A_k"),
+             ("partial", [1e-90 * np.eye(3), 1e-90 * np.eye(3), 1e60 * np.eye(3)], "general", gram),
+             ("factor", [1e60 * np.eye(3), 1e-170 * np.eye(3)], "general", gram)]
+    paths = []
+    for name, members, kind, _ in cases:
+        paths.append(tmp_path / f"{name}.json")
+        write_instance(paths[-1], MatrixFamily(members), kind)
+    for argv in CLI_COMMANDS:
+        code, out, err = run_cli(*argv, *paths)
+        assert (code, out) == (2, "")
+        assert err == "".join(
+            f"hspan {argv[0]}: {path}: matrix entries too small: {what} underflows\n"
+            for path, (*_, what) in zip(paths, cases))
+
+
+def test_small_products_that_do_not_underflow_keep_their_output(tmp_path):
+    cases = [([1e-200 * np.eye(3), np.zeros((3, 3))], 0),
+             ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 0),
+             ([np.diag([1e150, 1.0]), np.diag([1e-150, 1.0])], 2)]
+    paths = []
+    for i, (members, _) in enumerate(cases):
+        paths.append(tmp_path / f"f{i}.json")
+        write_instance(paths[-1], MatrixFamily(members), "general")
+    for argv in CLI_COMMANDS:
+        code, out, err = run_cli(*argv, *paths)
+        assert (code, err) == (0, "")
+        for rep, (_, rank) in zip(reports(out), cases, strict=True):
+            ranks = [rep[key] for key in ("rank", "span_rank", "oracle_rank") if key in rep]
+            assert ranks == [rank] * len(ranks) and rep.get("passed", True)
+
+
+def test_ranks_flags_and_exit_codes_do_not_depend_on_blas_threads(tmp_path):
+    # floats may move in the last bits with the BLAS thread count; only 1 and 2 are tried
+    paths = []
+    for n, k, flags in ((64, 2, ()), (16, 3, ("--rank-deficit", 5)),
+                        (32, 2, ("--kind", "psd", "--rank-deficit", 6))):
+        paths.append(tmp_path / f"{n}x{k}.json")
+        assert run_cli("gen", n, k, "--seed", n, *flags, "--out", paths[-1])[0] == 0
+    keys = ("rank", "span_rank", "oracle_rank", "match", "checks", "skipped", "passed")
+    for argv in CLI_COMMANDS:
+        runs = []
+        for threads in ("1", "2"):
+            code, out, err = run_cli(*argv, *paths, env_extra={"OPENBLAS_NUM_THREADS": threads})
+            picked = [{key: r[key] for key in keys if key in r} for r in reports(out)]
+            runs.append((code, err, picked))
+        assert runs[0] == runs[1]
+        assert len(runs[0][2]) == len(paths)
+
+
 @pytest.mark.parametrize("argv, rows", [
     (("compare", "--mode", "random", "--samples"), 2 * 4),
     (("verify", "--trials"), 3 * 4),

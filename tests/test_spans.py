@@ -14,7 +14,7 @@ from hspan import (BudgetExceededError, DimensionError, InstanceFormatError,
 from hspan.instances import instance_dict, parse_instance
 from hspan.rng import (STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian,
                        seed_children)
-from hspan.spans import PSD_REL_TOL
+from hspan.spans import PSD_REL_TOL, sample_count
 from hspan.verify import verify_all
 
 CFG = ToleranceConfig(seed=42)
@@ -299,6 +299,88 @@ def test_oracle_and_samplers_reject_overflowing_products(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+GRAM_PRODUCT = r"the Gram product \(B_1 B_1\*\) o \.\.\. o \(B_k B_k\*\)"
+FACE_SPLIT = r"the face-splitting product of B_1 \.\. B_k"
+SAMPLED = r"the sampled product \(B_1 x_1\) o \.\.\. o \(B_k x_k\)"
+PSD_PRODUCT = r"the product A_1 o \.\.\. o A_k"
+
+
+def too_small(what):
+    return rf"^matrix entries too small: {what} underflows$"
+
+
+def no_seeds(*args):
+    raise AssertionError("seed_children ran")
+
+
+def test_log2_norm_cannot_underflow():
+    # the direct ||1e-300 I||_F squares its entries to 1e-600, which is 0.0
+    assert np.linalg.norm(1e-300 * np.eye(3)) == 0.0
+    for scale in (1e-300, 5e-324, 1e300):
+        assert hspan.spans._log2_norm(scale * np.eye(3)) == pytest.approx(
+            np.log2(scale) + np.log2(3) / 2, rel=1e-14)
+    assert hspan.spans._log2_norm(1e-300j * np.ones((2, 2))) == pytest.approx(np.log2(2e-300))
+    assert hspan.spans._log2_norm(np.zeros((2, 2))) == -np.inf
+
+
+@pytest.mark.parametrize("fam", [
+    MatrixFamily([1e-110 * np.eye(3)] * 3),
+    MatrixFamily([1e-160 * np.eye(3)] * 2),
+    PsdFamily([1e-300 * np.eye(3)] * 2),
+], ids=["1e-110x3", "1e-160x2", "psd-1e-300x2"])
+def test_underflowing_products_are_refused(fam, monkeypatch):
+    # true rank 3 each time; the products round to zero or to subnormals
+    monkeypatch.setattr(hspan.spans, "seed_children", no_seeds)  # samplers refuse before drawing
+    psd = isinstance(fam, PsdFamily)
+    routes = [(hadamard_span, GRAM_PRODUCT), (basis_product_oracle, FACE_SPLIT),
+              (lambda f, cfg: random_sample_span(f, 8, cfg), SAMPLED),
+              (verify_all, PSD_PRODUCT if psd else GRAM_PRODUCT)]
+    if psd:
+        routes += [(psd_hadamard_span, PSD_PRODUCT), (single_vector_sample_span, SAMPLED)]
+    for route, what in routes:
+        with pytest.raises(ValueError, match=too_small(what)):
+            route(fam, CFG)
+
+
+def test_underflowing_gram_factors_and_partial_products_are_refused():
+    # G's own bound is 2^-792, but (B_1 B_1*) o (B_2 B_2*) is 1e-360 I, which is 0.0
+    fam = MatrixFamily([1e-90 * np.eye(3), 1e-90 * np.eye(3), 1e60 * np.eye(3)])
+    for route in (hadamard_span, verify_all):
+        with pytest.raises(ValueError, match=too_small(GRAM_PRODUCT)):
+            route(fam, CFG)
+    # H and the sampled members stay above 1e-180, and both find the true rank
+    assert basis_product_oracle(fam, CFG).rank == random_sample_span(fam, 8, CFG).rank == 3
+    # a later factor alone: B_2 B_2* = 1e-340 I is 0.0, though every partial product's bound is not
+    fam = MatrixFamily([1e60 * np.eye(3), 1e-170 * np.eye(3)])
+    with pytest.raises(ValueError, match=too_small(GRAM_PRODUCT)):
+        hadamard_span(fam, CFG)
+    assert basis_product_oracle(fam, CFG).rank == random_sample_span(fam, 8, CFG).rank == 3
+
+
+@pytest.mark.parametrize("members, rank", [
+    ([1e-200 * np.eye(3), np.zeros((3, 3))], 0),  # an exactly zero member is exempt
+    ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 0),  # disjoint support
+    ([np.diag([1e150, 1.0]), np.diag([1e-150, 1.0])], 2),  # mixed scales
+], ids=["zero-member", "disjoint", "mixed-scale"])
+def test_products_that_do_not_underflow_keep_their_rank(members, rank):
+    fam = MatrixFamily(members)
+    assert hadamard_span(fam, CFG).rank == rank
+    assert basis_product_oracle(fam, CFG).rank == rank
+    assert random_sample_span(fam, 8, CFG).rank == rank
+    assert verify_all(fam, CFG).passed
+
+
+def test_single_vector_statement_needs_psd_members():
+    # (x) o (swap x) = x_1 x_2 (1, 1): shared vectors span one direction, but rank(G) = 2
+    fam = MatrixFamily([np.eye(2), [[0.0, 1.0], [1.0, 0.0]]])
+    assert hadamard_span(fam, CFG).rank == basis_product_oracle(fam, CFG).rank == 2
+    assert random_sample_span(fam, sample_count(2), CFG).rank == 2
+    shared = hspan.spans._sample_span(fam, CFG, STREAM_SINGLE, sample_count(2), shared=True)
+    assert shared.rank == 1
+    pf = PsdFamily([np.eye(2), [[2.0, 1.0], [1.0, 2.0]]])
+    assert psd_hadamard_span(pf, CFG).rank == single_vector_sample_span(pf, CFG).rank == 2
+
+
 def test_random_sample_span_zero_family():
     fam = MatrixFamily([np.zeros((3, 3))])
     assert random_sample_span(fam, 7, CFG).rank == 0
@@ -473,9 +555,6 @@ def test_sampler_matches_per_sample_reference(fam, shared, monkeypatch):
 
 
 def test_samplers_refuse_oversized_draws_before_seeding(monkeypatch):
-    def no_seeds(*args):
-        raise AssertionError("seed_children ran")
-
     monkeypatch.setattr(hspan.spans, "seed_children", no_seeds)
     fam = gaussian_family(4, 3, 58)
     with pytest.raises(BudgetExceededError, match="budget is 10000000"):

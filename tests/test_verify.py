@@ -415,7 +415,7 @@ def test_trial_draws_refused_before_seeding(monkeypatch):
     def no_seeds(*args):
         raise AssertionError("seed_children ran")
 
-    monkeypatch.setattr(hv, "seed_children", no_seeds)
+    monkeypatch.setattr(hspan.spans, "seed_children", no_seeds)  # the trials draw through spans
     fam = MatrixFamily([np.eye(4)] * 2)  # trials draw 12 entries, pairing also 16 of T Y
     budget = hspan.spans.DRAW_ENTRY_BUDGET
     with pytest.raises(BudgetExceededError):
