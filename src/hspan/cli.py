@@ -18,7 +18,7 @@ import time
 
 from .errors import BudgetExceededError
 from .instances import (SCHEMA_VERSION, dump_instance, generate_family,
-                        load_instance, matrix_to_pairs)
+                        load_instance, matrix_to_pairs, write_instance)
 from .spans import (basis_product_oracle, hadamard_span, psd_hadamard_span,
                     random_sample_span, sample_count)
 from .subspace import ToleranceConfig, subspace_distance
@@ -165,12 +165,10 @@ def _run_gen(args, seed) -> int:
     try:
         family = generate_family(args.n, args.k, kind=args.kind,
                                  rank_deficit=args.rank_deficit, seed=seed)
-        text = dump_instance(family, args.kind)
         if args.out is None:
-            sys.stdout.write(text)
+            sys.stdout.write(dump_instance(family, args.kind))
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            write_instance(args.out, family, args.kind)
     except (*_FAILURES, OSError) as exc:
         code, message = _failure(exc)
         print(f"hspan gen: {message}", file=sys.stderr)

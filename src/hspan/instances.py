@@ -114,8 +114,9 @@ def dump_instance(family: MatrixFamily, kind: str) -> str:
 
 
 def write_instance(path, family: MatrixFamily, kind: str) -> None:
+    text = dump_instance(family, kind)  # before open: a failing dump creates or truncates nothing
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_instance(family, kind))
+        fh.write(text)
 
 
 def _walk_matrices(mats_obj, n: int) -> list:

@@ -95,22 +95,20 @@ def _require_finite(p: np.ndarray, what: str) -> np.ndarray:
     return p
 
 
-def _log2_norm(m: np.ndarray) -> float:
-    """log2 ||m||_F, taken after scaling m by its largest real or imaginary
-    part, so that it neither underflows nor overflows; -inf for a zero m."""
-    top = max(np.abs(m.real).max(initial=0.0), np.abs(m.imag).max(initial=0.0))
-    return float(np.log2(top) + np.log2(np.linalg.norm(m / top))) if top else -np.inf
-
-
-def _require_normal(members, what: str, power: int = 1) -> None:
-    """Refuse a product whose factor j has ||.||_F <= ||members[j]||_F^power
-    when a factor or a partial product, in reduce order, may lie wholly below
-    float64's smallest normal number. ||X o Y||_F <= ||X||_F ||Y||_F bounds
-    each one, as a sum of log2 norms that cannot underflow itself. A zero
-    member makes the product exactly zero and is exempt. Raises a ValueError
-    naming `what`."""
-    logs = [power * _log2_norm(m) for m in members]
-    if -np.inf not in logs and min(*logs, *np.cumsum(logs)) < np.finfo(np.float64).minexp:
+def _require_normal(family, what: str, power: int = 1) -> None:
+    """Refuse a product when a factor or a partial product of it, in reduce
+    order, lies wholly below float64's smallest normal number. Row i of each
+    is bounded by prod_j ||B_j[i, :]||^power (for G, exactly G_ii), summed in
+    log2 over rows scaled by powers of two, so the check cannot underflow
+    itself. An exactly zero product, whose row bounds are all -inf, is exempt.
+    Raises a ValueError naming `what`."""
+    parts = np.abs(family._stack.view(np.float64))  # [j, i]: re, im parts of B_j[i, :]
+    exps = np.frexp(parts.max(axis=2, initial=0.0))[1]
+    np.ldexp(parts, -exps[..., None], out=parts)  # each row's largest part is now in [1/2, 1)
+    with np.errstate(divide="ignore"):  # a zero row's log2 is -inf
+        logs = power * (exps + np.log2(np.einsum("jir,jir->ji", parts, parts)) / 2)
+    tops = np.concatenate([logs, np.cumsum(logs, axis=0)]).max(axis=1, initial=-np.inf)
+    if tops[-1] > -np.inf and tops.min() < np.finfo(np.float64).minexp:
         raise ValueError(f"matrix entries too small: {what} underflows")
 
 
@@ -123,7 +121,7 @@ def _hadamard_product(mats, what: str) -> np.ndarray:
 
 def gram_hadamard(family: MatrixFamily) -> np.ndarray:
     """G = (B_1 B_1*) o ... o (B_k B_k*), Hermitian PSD by the Schur product
-    theorem. ||B_j B_j*||_F <= ||B_j||_F^2 bounds the underflow check."""
+    theorem. G_ii = prod_j ||B_j[i, :]||^2 bounds the underflow check."""
     what = "the Gram product (B_1 B_1*) o ... o (B_k B_k*)"
     _require_normal(family, what, power=2)
     return _hadamard_product((b @ b.conj().T for b in family), what)

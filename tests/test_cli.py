@@ -193,13 +193,15 @@ CLI_COMMANDS = (("span",), ("compare", "--mode", "basis"), ("compare", "--mode",
 
 
 def test_underflowing_products_exit_two(tmp_path):
-    # the true rank is 3 in every file; a product, or a factor or partial product of it, underflows
+    # the true rank is 3 (2 for "rows"); a product, or a factor or partial product of it, underflows
     gram = "the Gram product (B_1 B_1*) o ... o (B_k B_k*)"
     cases = [("1e-110x3", [1e-110 * np.eye(3)] * 3, "general", gram),
              ("1e-160x2", [1e-160 * np.eye(3)] * 2, "general", gram),
              ("psd-1e-300x2", [1e-300 * np.eye(3)] * 2, "psd", "the product A_1 o ... o A_k"),
              ("partial", [1e-90 * np.eye(3), 1e-90 * np.eye(3), 1e60 * np.eye(3)], "general", gram),
-             ("factor", [1e60 * np.eye(3), 1e-170 * np.eye(3)], "general", gram)]
+             ("factor", [1e60 * np.eye(3), 1e-170 * np.eye(3)], "general", gram),
+             ("rows", [np.diag([1.0, 1e-170]), np.diag([1e-170, 1.0])], "general", gram),
+             ("subnormal", [5e-324 * np.eye(3), np.eye(3)], "general", gram)]
     paths = []
     for name, members, kind, _ in cases:
         paths.append(tmp_path / f"{name}.json")
@@ -215,7 +217,8 @@ def test_underflowing_products_exit_two(tmp_path):
 def test_small_products_that_do_not_underflow_keep_their_output(tmp_path):
     cases = [([1e-200 * np.eye(3), np.zeros((3, 3))], 0),
              ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 0),
-             ([np.diag([1e150, 1.0]), np.diag([1e-150, 1.0])], 2)]
+             ([np.diag([1e150, 1.0]), np.diag([1e-150, 1.0])], 2),
+             ([1e-200 * np.diag([1.0, 0.0]), 1e-200 * np.diag([0.0, 1.0])], 0)]
     paths = []
     for i, (members, _) in enumerate(cases):
         paths.append(tmp_path / f"f{i}.json")

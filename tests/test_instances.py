@@ -79,6 +79,24 @@ def test_round_trip_values_bit_equal(tmp_path):
         np.testing.assert_array_equal(ma, mb)
 
 
+def test_failing_dump_leaves_files_alone(tmp_path, monkeypatch):
+    def dump_fails(family, kind):
+        raise MemoryError
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    write_instance(old, generate_family(3, 2, seed=9), "general")
+    before = old.read_bytes()
+    monkeypatch.setattr(instances, "dump_instance", dump_fails)
+    for path in (old, new):
+        with pytest.raises(MemoryError):
+            write_instance(path, generate_family(2, 1, seed=1), "general")
+        err = io.StringIO()
+        with redirect_stderr(err):  # gen --out writes through write_instance
+            assert cli.main(["gen", "2", "1", "--out", str(path)]) == 3
+        assert err.getvalue() == "hspan gen: out of memory\n"
+    assert old.read_bytes() == before
+    assert not new.exists()
+
+
 def test_round_trip_bytes_stable():
     fam = generate_family(3, 2, kind="psd", seed=10)
     text = dump_instance(fam, "psd")

@@ -313,21 +313,34 @@ def no_seeds(*args):
     raise AssertionError("seed_children ran")
 
 
-def test_log2_norm_cannot_underflow():
-    # the direct ||1e-300 I||_F squares its entries to 1e-600, which is 0.0
-    assert np.linalg.norm(1e-300 * np.eye(3)) == 0.0
-    for scale in (1e-300, 5e-324, 1e300):
-        assert hspan.spans._log2_norm(scale * np.eye(3)) == pytest.approx(
-            np.log2(scale) + np.log2(3) / 2, rel=1e-14)
-    assert hspan.spans._log2_norm(1e-300j * np.ones((2, 2))) == pytest.approx(np.log2(2e-300))
-    assert hspan.spans._log2_norm(np.zeros((2, 2))) == -np.inf
+def test_row_bound_cannot_underflow():
+    # the direct norm of the row (0, 1e-300) squares its entries to 1e-600, which is 0.0
+    assert np.linalg.norm([0.0, 1e-300]) == 0.0
+    # row 2 is the product's only nonzero row: its bound log2|s| + 2t sits just below or
+    # above log2 of float64's smallest normal number, while every factor and every
+    # earlier partial product, in reduce order, stays above it
+    for s in (1e-300, 5e-324, 1e300, 1e-300j):
+        for gap in (-1e-6, 1e-6):
+            t = (np.finfo(np.float64).minexp + gap - np.log2(abs(s))) / 2
+            member, partner = np.diag([1.0, s]), np.diag([0.0, 2.0**t])
+            fam = MatrixFamily([member, partner, partner] if abs(s) > 1 else
+                               [partner, partner, member])
+            if gap < 0:
+                with pytest.raises(ValueError, match=too_small("x")):
+                    hspan.spans._require_normal(fam, "x")
+            else:
+                hspan.spans._require_normal(fam, "x")
+    # exactly zero products are exempt: a zero member, also next to one that underflows, and 0x0
+    for members in ([np.zeros((2, 2))], [1e-300 * np.eye(2), np.zeros((2, 2))], [np.zeros((0, 0))]):
+        hspan.spans._require_normal(MatrixFamily(members), "x", power=2)
 
 
 @pytest.mark.parametrize("fam", [
     MatrixFamily([1e-110 * np.eye(3)] * 3),
     MatrixFamily([1e-160 * np.eye(3)] * 2),
     PsdFamily([1e-300 * np.eye(3)] * 2),
-], ids=["1e-110x3", "1e-160x2", "psd-1e-300x2"])
+    MatrixFamily([5e-324 * np.eye(3), np.eye(3)]),
+], ids=["1e-110x3", "1e-160x2", "psd-1e-300x2", "subnormal-member"])
 def test_underflowing_products_are_refused(fam, monkeypatch):
     # true rank 3 each time; the products round to zero or to subnormals
     monkeypatch.setattr(hspan.spans, "seed_children", no_seeds)  # samplers refuse before drawing
@@ -355,19 +368,68 @@ def test_underflowing_gram_factors_and_partial_products_are_refused():
     with pytest.raises(ValueError, match=too_small(GRAM_PRODUCT)):
         hadamard_span(fam, CFG)
     assert basis_product_oracle(fam, CFG).rank == random_sample_span(fam, 8, CFG).rank == 3
+    # large entries on different rows: both members have ||.||_F ~ 1, but every row of G is
+    # 1e-340, which is 0.0, while H and the sampled members stay near 1e-170
+    fam = MatrixFamily([np.diag([1.0, 1e-170]), np.diag([1e-170, 1.0])])
+    for route in (hadamard_span, verify_all):
+        with pytest.raises(ValueError, match=too_small(GRAM_PRODUCT)):
+            route(fam, CFG)
+    assert basis_product_oracle(fam, CFG).rank == random_sample_span(fam, 8, CFG).rank == 2
 
 
 @pytest.mark.parametrize("members, rank", [
     ([1e-200 * np.eye(3), np.zeros((3, 3))], 0),  # an exactly zero member is exempt
     ([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], 0),  # disjoint support
     ([np.diag([1e150, 1.0]), np.diag([1e-150, 1.0])], 2),  # mixed scales
-], ids=["zero-member", "disjoint", "mixed-scale"])
+    ([1e-200 * np.diag([1.0, 0.0]), 1e-200 * np.diag([0.0, 1.0])], 0),  # exactly zero, factors underflow
+], ids=["zero-member", "disjoint", "mixed-scale", "exactly-zero"])
 def test_products_that_do_not_underflow_keep_their_rank(members, rank):
     fam = MatrixFamily(members)
     assert hadamard_span(fam, CFG).rank == rank
     assert basis_product_oracle(fam, CFG).rank == rank
     assert random_sample_span(fam, 8, CFG).rank == rank
     assert verify_all(fam, CFG).passed
+
+
+ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: each route cuts its rank "
+                                             "on its own scale, not on sigma(H)")
+GRADED = {
+    "16x3": lambda: MatrixFamily([np.diag(np.logspace(0, -3, 16))] * 3),
+    "16x4": lambda: MatrixFamily([np.diag(np.logspace(0, -1.5, 16))] * 4),
+    "diag-3e-6": lambda: MatrixFamily([np.diag([1.0, 3e-6])]),
+    "psd-16x3": lambda: PsdFamily([np.diag(np.logspace(0, -3, 16))] * 3),
+}
+GRADED_ROUTES = {
+    "gram": hadamard_span,
+    "psd": psd_hadamard_span,
+    "oracle": basis_product_oracle,
+    "sampler": lambda f, cfg: random_sample_span(f, sample_count(f.n), cfg),
+    "single-vector": single_vector_sample_span,
+}
+
+
+@pytest.mark.parametrize("family, route", [
+    pytest.param("16x3", "gram", marks=ITEM_1),
+    pytest.param("16x3", "oracle", marks=ITEM_1),
+    pytest.param("16x3", "sampler", marks=ITEM_1),
+    pytest.param("16x4", "gram", marks=ITEM_1),
+    pytest.param("16x4", "oracle", marks=ITEM_1),
+    ("16x4", "sampler"),
+    pytest.param("diag-3e-6", "gram", marks=ITEM_1),
+    ("diag-3e-6", "oracle"),
+    ("diag-3e-6", "sampler"),
+    pytest.param("psd-16x3", "psd", marks=ITEM_1),
+    pytest.param("psd-16x3", "oracle", marks=ITEM_1),
+    pytest.param("psd-16x3", "sampler", marks=ITEM_1),
+    pytest.param("psd-16x3", "single-vector", marks=ITEM_1),
+])
+def test_graded_diagonal_families_get_the_sigma_h_rank(family, route):
+    # sigma(H)_i = prod_j |d_j[i]| for diagonal members d_j (the A_j of a psd family),
+    # and the rank counts those above rank_rel_tol * sigma_1(H); it is 16, 16, 2 and 16
+    fam, cfg = GRADED[family](), ToleranceConfig()
+    sigma = np.prod([np.abs(np.diag(m)) for m in fam], axis=0)
+    expected = int(np.sum(sigma > cfg.rank_rel_tol * sigma.max()))
+    assert GRADED_ROUTES[route](fam, cfg).rank == expected
 
 
 def test_single_vector_statement_needs_psd_members():
