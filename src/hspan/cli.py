@@ -4,7 +4,8 @@ Subcommands: gen writes random instance files, span computes the family
 span, compare cross-checks the span against an independent oracle, verify
 runs the identity checks. Reports are JSON, one object per input file, on
 stdout; diagnostics go to stderr. Exit codes: 0 success, 1 span mismatch or
-failed check, 2 input error, 3 size budget exceeded or out of memory.
+failed check, 2 input error, 3 size budget exceeded or out of memory, 141
+stdout closed before everything was written.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -165,14 +167,15 @@ def _run_gen(args, seed) -> int:
     try:
         family = generate_family(args.n, args.k, kind=args.kind,
                                  rank_deficit=args.rank_deficit, seed=seed)
-        if args.out is None:
-            sys.stdout.write(dump_instance(family, args.kind))
-        else:
+        if args.out is not None:
             write_instance(args.out, family, args.kind)
+            return EXIT_OK
+        text = dump_instance(family, args.kind)
     except (*_FAILURES, OSError) as exc:
         code, message = _failure(exc)
         print(f"hspan gen: {message}", file=sys.stderr)
         return code
+    sys.stdout.write(text)  # a closed stdout is main's to handle, not an input error
     return EXIT_OK
 
 
@@ -192,7 +195,22 @@ def _run_file(runner, path, args, cfg):
 
 
 def main(argv=None) -> int:
+    """Run one command; its exit code. A stdout closed by its reader ends the
+    command with EXIT_PIPE and no traceback; signal handling is left as it is."""
     args = _parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the interpreter's own flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+
+
+def _run(args) -> int:
     try:
         seed = _resolve_seed(args)
         # gen has no rank policy, but its seed obeys the same 64-bit rule

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size format of their messages."""
 
 
 class DimensionError(ValueError):
@@ -20,3 +20,12 @@ class BudgetExceededError(RuntimeError):
 
 class InstanceFormatError(ValueError):
     """An instance file is malformed or violates its declared invariants."""
+
+
+def size_text(value: int) -> str:
+    """A size for a message: in full while it fits in 64 bits, else to three
+    digits (2.82e+4515), which Python's int-to-string digit limit never refuses."""
+    if value.bit_length() <= 64:
+        return str(value)
+    from decimal import Decimal  # only oversized requests pay for the import
+    return f"{Decimal(value):.3g}"

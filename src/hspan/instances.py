@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .errors import BudgetExceededError, InstanceFormatError
+from .errors import BudgetExceededError, InstanceFormatError, size_text
 from .rng import STREAM_GEN, complex_gaussian, seed_children
 from .spans import MatrixFamily, PsdFamily
 
@@ -59,7 +59,7 @@ def generate_family(n: int, k: int, kind: str = "general",
         raise ValueError(f"rank deficit must satisfy 0 <= d < n, got d={rank_deficit}, n={n}")
     if k * n * n > GEN_ENTRY_BUDGET:
         raise BudgetExceededError(
-            f"k n^2 = {k * n * n} matrix entries, budget is {GEN_ENTRY_BUDGET}")
+            f"k n^2 = {size_text(k * n * n)} matrix entries, budget is {GEN_ENTRY_BUDGET}")
     mats = []
     for child in seed_children(seed, STREAM_GEN, k):
         rng = np.random.default_rng(child)

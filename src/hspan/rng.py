@@ -1,11 +1,10 @@
 """Seed derivation and complex Gaussian sampling.
 
 All randomness in the package flows through named streams so that every
-consumer draws from its own deterministic substream of the user seed.
-Per-sample children are spawned from a fresh SeedSequence, which keeps the
-first s children identical no matter how many are requested in total; rank
-growth under sampling is therefore monotone in the sample count, and a
-parallel evaluation sees the same vectors as a serial one.
+consumer draws from its own deterministic substream of the user seed. Each
+drawn array takes one child seed: a generated family one per member, a draw
+stack one for all its samples, read in order, so the first s samples never
+depend on the count and sampled rank is monotone in it.
 """
 
 from __future__ import annotations

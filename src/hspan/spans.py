@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import (BudgetExceededError, DimensionError, NotHermitianError,
-                     NotPsdError)
+                     NotPsdError, size_text)
 from .rng import STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian, seed_children
 from .subspace import Subspace, ToleranceConfig, as_matrix, range_basis
 
@@ -197,7 +197,7 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace
     n, k = family.n, family.k
     if n**k > ORACLE_COLUMN_BUDGET:
         raise BudgetExceededError(
-            f"oracle needs n^k = {n**k} columns, budget is {ORACLE_COLUMN_BUDGET}")
+            f"oracle needs n^k = {size_text(n**k)} columns, budget is {ORACLE_COLUMN_BUDGET}")
     _require_normal(family, "the face-splitting product of B_1 .. B_k")
     return range_basis(_face_split_view(list(family)), cfg)
 
@@ -216,26 +216,25 @@ def _members(family, xs) -> np.ndarray:
 
 def _require_draw_budget(rows: int, count: int) -> None:
     """Refuse `count` draws of `rows` entries each above DRAW_ENTRY_BUDGET,
-    before any child seed is spawned or any stack allocated."""
+    before the child seed is spawned or any stack allocated."""
     if rows * count > DRAW_ENTRY_BUDGET:
         raise BudgetExceededError(
-            f"{count} draws need {rows} x {count} = {rows * count} stack entries, "
+            f"{size_text(count)} draws need {size_text(rows)} x {size_text(count)} = "
+            f"{size_text(rows * count)} stack entries, "
             f"budget is {DRAW_ENTRY_BUDGET}")
 
 
 def _draw_stack(seed: int, stream: int, vectors: int, n: int, count: int) -> np.ndarray:
-    """vectors x n x count; column s is complex_gaussian(default_rng(child_s), vectors, n),
-    child_s the s-th child of (seed, stream). Refused over budget before any seeding."""
+    """vectors x n x count, drawn sample-major by one generator seeded by the first
+    child of (seed, stream): no sample depends on `count`. Refused over budget first."""
     _require_draw_budget(vectors * n, count)
-    xs = np.empty((vectors, n, count), dtype=np.complex128)
-    for s, child in enumerate(seed_children(seed, stream, count)):
-        xs[:, :, s] = complex_gaussian(np.random.default_rng(child), vectors, n)
-    return xs
+    (child,) = seed_children(seed, stream, 1)
+    return complex_gaussian(np.random.default_rng(child), count, vectors, n).transpose(1, 2, 0)
 
 
 def _sample_span(family, cfg, stream, samples, shared) -> Subspace:
-    """range_basis of `samples` members. Sample s draws, from the s-th child of
-    (cfg.seed, stream), one x shared by every slot, or k slot vectors in order.
+    """range_basis of `samples` members. Sample s takes the s-th block of the
+    (cfg.seed, stream) draws: one x shared by every slot, or k slot vectors in order.
     A family whose members underflow for unit x_j is refused before any draw."""
     _require_normal(family, "the sampled product (B_1 x_1) o ... o (B_k x_k)")
     xs = _draw_stack(cfg.seed, stream, 1 if shared else family.k, family.n, samples)

@@ -55,7 +55,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionError
+from .errors import BudgetExceededError, DimensionError, size_text
 from .rng import STREAM_ORTHO, STREAM_PAIRING
 from .spans import (MatrixFamily, PsdFamily, _draw_stack, _face_split, _face_split_view, _members,
                     _require_draw_budget, _require_finite, gram_hadamard, psd_hadamard_span)
@@ -154,7 +154,8 @@ def _require_tensor_budget(family: MatrixFamily):
     entries = family.n ** (family.k + 1)
     if entries > TENSOR_ENTRY_BUDGET:
         raise BudgetExceededError(
-            f"tensor witness needs n^(k+1) = {entries} entries, budget is {TENSOR_ENTRY_BUDGET}")
+            f"tensor witness needs n^(k+1) = {size_text(entries)} entries, "
+            f"budget is {TENSOR_ENTRY_BUDGET}")
 
 
 def tensor_witness(family: MatrixFamily, cfg: ToleranceConfig) -> np.ndarray:

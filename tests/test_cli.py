@@ -126,6 +126,37 @@ def test_compare_budget_exit(tmp_path):
     assert "budget" in err
 
 
+def test_huge_sizes_exit_three_in_one_short_line(tmp_path):
+    # n^k = 2^15000 and k n^2 = 10^7998 have more digits than Python's int-to-string limit allows
+    path = tmp_path / "identities.json"
+    write_instance(path, MatrixFamily([np.eye(2)] * 15000), "general")
+    code, out, err = run_cli("compare", "--mode", "basis", path)
+    assert (code, out) == (3, "")
+    assert err == (f"hspan compare: {path}: oracle needs n^k = 2.82e+4515 columns, "
+                   "budget is 65536\n")
+    code, out, err = run_cli("gen", 10**3999, 1)
+    assert (code, out, err) == (3, "", "hspan gen: k n^2 = 1.00e+7998 matrix entries, "
+                                       "budget is 1000000\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(instance, unbuffered):
+    # the reader left before anything was written: no traceback, and neither
+    # the mismatch code 1 nor the input-error code 2
+    env = {k: v for k, v in os.environ.items() if k not in ("HSPAN_SEED", "PYTHONUNBUFFERED")}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv in (("span", instance, instance), ("gen", 5, 2)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "hspan", *map(str, argv)],
+                                  stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, ""), argv
+
+
 def test_malformed_file_exits_two(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{oops")

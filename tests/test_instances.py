@@ -39,6 +39,9 @@ def test_generate_refuses_oversized_family_before_drawing(monkeypatch):
     assert generate_family(2, 2).k == 2
     with pytest.raises(BudgetExceededError, match="k n\\^2 = 9 matrix entries"):
         generate_family(3, 1)
+    # k n^2 has more digits than Python's int-to-string limit allows
+    with pytest.raises(BudgetExceededError, match=r"^k n\^2 = 1\.00e\+7998 matrix entries, "):
+        generate_family(10**3999, 1)
 
 
 def test_generate_deterministic_per_seed():

@@ -11,9 +11,10 @@ from hspan import (BudgetExceededError, DimensionError, InstanceFormatError,
                    gram_hadamard, hadamard_span, psd_hadamard_span, psd_sqrt,
                    random_sample_span, range_basis, single_vector_sample_span,
                    subspace_distance)
+from hspan.errors import size_text
 from hspan.instances import instance_dict, parse_instance
-from hspan.rng import (STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian,
-                       seed_children)
+from hspan.rng import (STREAM_ORTHO, STREAM_PAIRING, STREAM_SAMPLE,
+                       STREAM_SINGLE, complex_gaussian, seed_children)
 from hspan.spans import PSD_REL_TOL, sample_count
 from hspan.verify import verify_all
 
@@ -212,6 +213,17 @@ def test_oracle_budget(monkeypatch):
     monkeypatch.setattr(hspan.spans, "ORACLE_COLUMN_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
         basis_product_oracle(small, CFG)
+
+
+def test_huge_sizes_are_refused_in_one_short_message():
+    # 2^15000 and 10^5000 have more digits than Python's int-to-string limit allows
+    assert size_text(2**64 - 1) == "18446744073709551615" and size_text(2**64) == "1.84e+19"
+    with pytest.raises(BudgetExceededError,
+                       match=r"^oracle needs n\^k = 2\.82e\+4515 columns, budget is 65536$"):
+        basis_product_oracle(MatrixFamily([np.eye(2)] * 15000), CFG)
+    with pytest.raises(BudgetExceededError, match=r"^1\.00e\+5000 draws need 2 x 1\.00e\+5000 = "
+                                                  r"2\.00e\+5000 stack entries, budget is 10000000$"):
+        random_sample_span(MatrixFamily([np.eye(2)]), 10**5000, CFG)
 
 
 GRADED = np.diag(np.logspace(0, -3, 16)).astype(np.complex128)
@@ -560,13 +572,17 @@ def test_single_vector_span_matches_product_range():
         assert d <= 1e-8
 
 
-def sampled_stacks(stream, count, per_child, n):
-    """Stack p, column s: the p-th of `per_child` vectors drawn one call at a
-    time from child s of (CFG.seed, stream)."""
-    draws = []
-    for child in seed_children(CFG.seed, stream, count):
-        rng = np.random.default_rng(child)
-        draws.append([complex_gaussian(rng, n) for _ in range(per_child)])
+def stream_rng(stream):
+    """The one generator a draw stack of (CFG.seed, stream) reads: seeded by its first child."""
+    (child,) = seed_children(CFG.seed, stream, 1)
+    return np.random.default_rng(child)
+
+
+def sampled_stacks(stream, count, per_sample, n):
+    """Stack p, column s: the p-th of the `per_sample` vectors of sample s, drawn
+    one call at a time, sample after sample, from stream_rng(stream)."""
+    rng = stream_rng(stream)
+    draws = [[complex_gaussian(rng, n) for _ in range(per_sample)] for _ in range(count)]
     return np.stack([np.column_stack(vs) for vs in zip(*draws)])
 
 
@@ -604,9 +620,8 @@ def test_sampler_matches_per_sample_reference(fam, shared, monkeypatch):
         span, stream, count = random_sample_span(fam, 9, CFG), STREAM_SAMPLE, 9
     (batched,) = seen
     assert batched.shape == (n, count)
-    cols = []
-    for s, child in enumerate(seed_children(CFG.seed, stream, count)):
-        rng = np.random.default_rng(child)
+    cols, rng = [], stream_rng(stream)
+    for s in range(count):
         xs = [complex_gaussian(rng, n)] * k if shared else [complex_gaussian(rng, n) for _ in range(k)]
         cols.append(reduce(np.multiply, [b @ x for b, x in zip(fam, xs)]))
         scale = np.prod([np.linalg.norm(b) * np.linalg.norm(x) for b, x in zip(fam, xs)])
@@ -614,6 +629,17 @@ def test_sampler_matches_per_sample_reference(fam, shared, monkeypatch):
     reference = range_basis(np.column_stack(cols), CFG)
     assert span.rank == reference.rank
     assert subspace_distance(span, reference) <= 1e-8
+
+
+@pytest.mark.parametrize("stream", [STREAM_SAMPLE, STREAM_SINGLE, STREAM_PAIRING, STREAM_ORTHO])
+def test_draw_stack_is_prefix_stable(stream):
+    # the first s samples never depend on the count, so sampled rank is monotone in it
+    for vectors, n in ((1, 1), (1, 5), (3, 4), (5, 2)):
+        whole = hspan.spans._draw_stack(CFG.seed, stream, vectors, n, 12)
+        assert whole.shape == (vectors, n, 12)
+        for s in (1, 2, 7, 11):
+            np.testing.assert_array_equal(
+                whole[..., :s], hspan.spans._draw_stack(CFG.seed, stream, vectors, n, s))
 
 
 def test_samplers_refuse_oversized_draws_before_seeding(monkeypatch):

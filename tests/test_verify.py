@@ -95,6 +95,16 @@ def test_tensor_witness_budget(monkeypatch):
         tensor_witness(small, CFG)
 
 
+def test_huge_tensor_sizes_are_refused_in_one_short_message():
+    # n^(k+1) = 2^15001 has more digits than Python's int-to-string limit allows
+    fam = MatrixFamily([np.eye(2)] * 15000)
+    message = r"^tensor witness needs n\^\(k\+1\) = 5\.64e\+4515 entries, budget is 1000000$"
+    for check in (lambda: tensor_witness(fam, CFG), lambda: norm_trace_identity(fam, CFG),
+                  lambda: pairing_identity_residual(fam, [np.ones(2)] * fam.k, np.ones(2), CFG)):
+        with pytest.raises(BudgetExceededError, match=message):
+            check()
+
+
 def kron_sum_tensor(fam, m):
     """sum_i (B_1* e_i) (x) ... (x) (B_k* e_i) (x) (conj(m) e_i), term by term."""
     t = np.zeros(fam.n ** (fam.k + 1), dtype=np.complex128)
@@ -343,11 +353,10 @@ def test_verify_all_agrees_with_identity_functions(fam):
         fam = MatrixFamily([psd_sqrt(a) for a in fam])
     assert list(rep.orthogonality_residuals) == orthogonality_check(fam, 50, CFG)
     assert (rep.tensor_norm_sq, rep.trace_eg) == norm_trace_identity(fam, CFG)
-    # trial i draws x_1 .. x_k and then y from the i-th pairing child seed
-    draws = []
-    for child in seed_children(CFG.seed, STREAM_PAIRING, 10):
-        rng = np.random.default_rng(child)
-        draws.append([complex_gaussian(rng, fam.n) for _ in range(fam.k + 1)])
+    # trial i draws x_1 .. x_k and then y, after trial i - 1, from one generator
+    # seeded by the first pairing child seed
+    rng = np.random.default_rng(seed_children(CFG.seed, STREAM_PAIRING, 1)[0])
+    draws = [[complex_gaussian(rng, fam.n) for _ in range(fam.k + 1)] for _ in range(10)]
     *xs, y = [np.column_stack(vs) for vs in zip(*draws)]
     _, _, e = hv._complement(fam, CFG)
     paired = hv._tensor_sides(fam, e, xs, y)[1]
@@ -377,8 +386,8 @@ def test_batched_trials_match_per_trial_reference(fam, pairing_trials):
     scale = float(np.prod([np.linalg.norm(b) for b in fam]))
 
     def trials(stream, count):
-        for child in seed_children(CFG.seed, stream, count):
-            rng = np.random.default_rng(child)
+        rng = np.random.default_rng(seed_children(CFG.seed, stream, 1)[0])
+        for _ in range(count):
             xs = [complex_gaussian(rng, fam.n) for _ in range(fam.k)]
             y = complex_gaussian(rng, fam.n)
             h = reduce(np.multiply, [b @ x for b, x in zip(fam, xs)])
