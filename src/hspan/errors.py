@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the size format of their messages."""
+"""Exception types shared across the package, their size format and the one budget refusal."""
 
 
 class DimensionError(ValueError):
@@ -29,3 +29,9 @@ def size_text(value: int) -> str:
         return str(value)
     from decimal import Decimal  # only oversized requests pay for the import
     return f"{Decimal(value):.3g}"
+
+
+def require_budget(size: int, budget: int, need: str, unit: str) -> None:
+    """Refuse size > budget: BudgetExceededError("<need> = <size> <unit>, budget is <budget>")."""
+    if size > budget:
+        raise BudgetExceededError(f"{need} = {size_text(size)} {unit}, budget is {budget}")

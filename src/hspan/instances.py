@@ -31,8 +31,8 @@ import sys
 
 import numpy as np
 
-from .errors import BudgetExceededError, InstanceFormatError, size_text
-from .rng import STREAM_GEN, complex_gaussian, seed_children
+from .errors import InstanceFormatError, require_budget
+from .rng import STREAM_GEN, complex_gaussian, require_seed, seed_children
 from .spans import MatrixFamily, PsdFamily
 
 SCHEMA_VERSION = "1.0"
@@ -57,9 +57,8 @@ def generate_family(n: int, k: int, kind: str = "general",
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not 0 <= rank_deficit < n:
         raise ValueError(f"rank deficit must satisfy 0 <= d < n, got d={rank_deficit}, n={n}")
-    if k * n * n > GEN_ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"k n^2 = {size_text(k * n * n)} matrix entries, budget is {GEN_ENTRY_BUDGET}")
+    seed = require_seed(seed)
+    require_budget(k * n * n, GEN_ENTRY_BUDGET, "k n^2", "matrix entries")
     mats = []
     for child in seed_children(seed, STREAM_GEN, k):
         rng = np.random.default_rng(child)

@@ -19,6 +19,15 @@ STREAM_ORTHO = 4  # orthogonality trial vectors
 STREAM_GEN = 5  # instance generation
 
 
+def require_seed(seed) -> int:
+    """seed as an int: a Python or numpy integer, not a bool, in [0, 2^64), else a ValueError."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+    return int(seed)
+
+
 def seed_children(seed: int, stream: int, count: int) -> list[np.random.SeedSequence]:
     """Spawn `count` child seeds of the (seed, stream) pair.
 
@@ -37,4 +46,5 @@ def complex_gaussian(rng: np.random.Generator, *shape: int) -> np.ndarray:
     part.
     """
     z = rng.standard_normal(shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+    z *= np.sqrt(0.5)
+    return z.view(np.complex128)[..., 0]

@@ -30,8 +30,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (BudgetExceededError, DimensionError, NotHermitianError,
-                     NotPsdError, size_text)
+from .errors import DimensionError, NotHermitianError, NotPsdError, require_budget, size_text
 from .rng import STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian, seed_children
 from .subspace import Subspace, ToleranceConfig, as_matrix, range_basis
 
@@ -147,37 +146,34 @@ def _face_split(mats) -> np.ndarray:
 
 
 class _FaceSplit:
-    """The face split H of two or more matrices with the same row count,
+    """The face split H of one or more matrices with the same row count,
     read-only and built one column slice at a time.
 
-    Holds p = _face_split(mats[:-1]), the face split of all matrices but the
-    last, and the last one, of m columns. Column c of H is
-    p[:, c // m] o last[:, c % m], so h[:, j:j + b] needs only the prefix
-    columns j // m .. ceil((j + b) / m) and is bit for bit the slice of the
-    whole H. Slicing is the only indexing supported.
+    Holds p, the face split of all matrices but the last (a column of ones
+    when there is one matrix), and the last one, of m columns. Column c of H
+    is p[:, c // m] o last[:, c % m], so h[:, j:j + b] needs only the prefix
+    columns j // m .. ceil((j + b) / m). np.asarray(h) is the whole H,
+    _face_split(mats), and each slice is bit for bit its slice; only a lone
+    matrix's zeros may lose their sign in the complex product with 1.0.
     """
 
     def __init__(self, mats):
-        self._prefix = _face_split(mats[:-1])
-        self._last = mats[-1]
-        self.shape = (self._last.shape[0], self._prefix.shape[1] * self._last.shape[1])
+        self._mats, self._last = mats, mats[-1]
+        self._prefix = _face_split(mats[:-1] or [np.ones((len(self._last), 1))])
+        self.shape = (len(self._last), self._prefix.shape[1] * self._last.shape[1])
 
     def __getitem__(self, key):
         rows, cols = key
         if rows != slice(None) or cols.step not in (None, 1):
             raise IndexError("a _FaceSplit takes only column slices h[:, j:j + b]")
-        m = self._last.shape[1]
+        m = self._last.shape[1] or 1  # an H of no columns takes p's empty slice
         start, stop, _ = cols.indices(self.shape[1])
         lo, hi = start // m, -(-stop // m)
         h = _face_split([self._prefix[:, lo:hi], self._last])
         return h[:, start - lo * m:stop - lo * m]
 
-
-def _face_split_view(mats):
-    """The face split H of `mats`: a _FaceSplit when there are at least two
-    factors and H is wide, else the whole H; their slices are bit for bit equal."""
-    wide = len(mats) > 1 and np.prod([m.shape[1] for m in mats]) > mats[0].shape[0]
-    return _FaceSplit(mats) if wide else _face_split(mats)
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(_face_split(self._mats), dtype)
 
 
 def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
@@ -187,19 +183,16 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace
     (B_1 e_{i1}) o ... o (B_k e_{ik}); multilinearity in each slot makes
     these products span the whole family. range_basis rank-reveals H through
     the n x n factor R^T of H^T = Q R, reduced in column slices of at most
-    b = max(TSQR_BLOCK, 2n). H itself is never held: it is passed as a
-    _FaceSplit, which builds each slice from p, the face split of
-    B_1 .. B_(k-1) (n^k entries), and B_k. So the oracle holds p, one n x b
-    slice and the stacked Rs (ceil(n^k / b) * n^2 entries), while every one
-    of the n^k columns is still formed; ORACLE_COLUMN_BUDGET bounds n^k.
+    b = max(TSQR_BLOCK, 2n). H is passed as a _FaceSplit, which builds each
+    slice from p, the face split of B_1 .. B_(k-1) (n^k entries), and B_k,
+    and is read whole only when narrow (k = 1 or n = 1). So the oracle holds
+    p, one n x b slice and the stacked Rs (ceil(n^k / b) * n^2 entries),
+    while all n^k columns are still formed; ORACLE_COLUMN_BUDGET bounds n^k.
     Never touches G = H H*, so it is an independent check of hadamard_span.
     """
-    n, k = family.n, family.k
-    if n**k > ORACLE_COLUMN_BUDGET:
-        raise BudgetExceededError(
-            f"oracle needs n^k = {size_text(n**k)} columns, budget is {ORACLE_COLUMN_BUDGET}")
+    require_budget(family.n ** family.k, ORACLE_COLUMN_BUDGET, "oracle needs n^k", "columns")
     _require_normal(family, "the face-splitting product of B_1 .. B_k")
-    return range_basis(_face_split_view(list(family)), cfg)
+    return range_basis(_FaceSplit(list(family)), cfg)
 
 
 def sample_count(n: int) -> int:
@@ -217,11 +210,8 @@ def _members(family, xs) -> np.ndarray:
 def _require_draw_budget(rows: int, count: int) -> None:
     """Refuse `count` draws of `rows` entries each above DRAW_ENTRY_BUDGET,
     before the child seed is spawned or any stack allocated."""
-    if rows * count > DRAW_ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"{size_text(count)} draws need {size_text(rows)} x {size_text(count)} = "
-            f"{size_text(rows * count)} stack entries, "
-            f"budget is {DRAW_ENTRY_BUDGET}")
+    require_budget(rows * count, DRAW_ENTRY_BUDGET, f"{size_text(count)} draws need "
+                   f"{size_text(rows)} x {size_text(count)}", "stack entries")
 
 
 def _draw_stack(seed: int, stream: int, vectors: int, n: int, count: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .rng import require_seed
 
 BASIS_ORTHO_TOL = 1e-10
 TSQR_BLOCK = 1024
@@ -51,8 +52,7 @@ class ToleranceConfig:
     def __post_init__(self):
         if not 0 < self.rank_rel_tol < 1:
             raise ValueError(f"rank_rel_tol must lie in (0, 1), got {self.rank_rel_tol}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        object.__setattr__(self, "seed", require_seed(self.seed))
 
 
 class Subspace:

@@ -9,8 +9,8 @@ and E = I - Q Q* for the projector onto its orthogonal complement:
 * tensor witness: T = sum_i (B_1* e_i) (x) ... (x) (B_k* e_i) (x) (conj(E) e_i)
   collects the other inclusion into a single vector. Reshaped row-major to
   n^k x n it is (E H)*, with H the n x n^k face-splitting matrix whose row i
-  is B_1[i, :] (x) ... (x) B_k[i, :], so its rows are matrix products of
-  columns of conj(H) with conj(E)^T, formed from the B_j and E, independently
+  is B_1[i, :] (x) ... (x) B_k[i, :], so the rows of conj(T) are matrix
+  products of columns of H with E^T, formed from the B_j and E, independently
   of G;
 * norm-trace identity: ||T||^2 = trace(E G), which vanishes because E
   annihilates range(G);
@@ -30,9 +30,9 @@ decision at 1e-7 or 1e-8.
 The random trials run side by side. The draws of t trials are n x t stacks
 X_1 .. X_k and Y; the family side forms all t members at once as
 (B_1 X_1) o ... o (B_k X_k). The tensor side of both identities is one pass
-over T, viewed as n^k x n, in windows of max(TSQR_BLOCK, 2n) rows: each
-window adds to ||T||^2 and is contracted against the same columns of the
-Khatri-Rao rows x_1 (x) ... (x) x_k of the t trials, and then against Y.
+over conj(T), viewed as n^k x n, in windows of max(TSQR_BLOCK, 2n) rows of
+the oracle's own H: each adds to ||T||^2 and is contracted against the same
+columns of the trials' Khatri-Rao rows x_1 (x) ... (x) x_k, then conj(Y).
 Neither T nor H is held whole by the checks; tensor_witness returns T.
 
 Two conventions hold throughout. The inner product
@@ -55,9 +55,9 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionError, size_text
+from .errors import DimensionError, require_budget
 from .rng import STREAM_ORTHO, STREAM_PAIRING
-from .spans import (MatrixFamily, PsdFamily, _draw_stack, _face_split, _face_split_view, _members,
+from .spans import (MatrixFamily, PsdFamily, _draw_stack, _face_split, _FaceSplit, _members,
                     _require_draw_budget, _require_finite, gram_hadamard, psd_hadamard_span)
 # Not called here; bench/tracing.py patches them in verify until ROADMAP item 4.
 from .spans import complex_gaussian, psd_sqrt, seed_children  # noqa: F401
@@ -151,11 +151,8 @@ def _tensor_from(family: MatrixFamily, e: np.ndarray) -> np.ndarray:
 
 
 def _require_tensor_budget(family: MatrixFamily):
-    entries = family.n ** (family.k + 1)
-    if entries > TENSOR_ENTRY_BUDGET:
-        raise BudgetExceededError(
-            f"tensor witness needs n^(k+1) = {size_text(entries)} entries, "
-            f"budget is {TENSOR_ENTRY_BUDGET}")
+    require_budget(family.n ** (family.k + 1), TENSOR_ENTRY_BUDGET,
+                   "tensor witness needs n^(k+1)", "entries")
 
 
 def tensor_witness(family: MatrixFamily, cfg: ToleranceConfig) -> np.ndarray:
@@ -174,24 +171,22 @@ def _tensor_sides(family: MatrixFamily, e: np.ndarray, xs, y) -> tuple[float, np
     """The tensor side of both identities, T viewed as n^k x n: (||T||^2,
     <x_1 (x) ... (x) x_k (x) conj(y), T> per column of the n x t stacks X_j and Y).
 
-    Row c of T is conj(H)[:, c]^T conj(E)^T, so T is walked in windows of
-    b = max(TSQR_BLOCK, 2n) rows, each built from the same columns of conj(H),
-    a _FaceSplit. Each window is contracted against the same columns of
-    conj(K), where K = face_split(X_1^T .. X_k^T) holds the t Khatri-Rao rows
-    x_1 (x) ... (x) x_k; the pairing is the conjugate of the diagonal of
-    conj(K) T Y. Neither T nor conj(H) is held, and G and the members
-    B_j X_j are never formed.
+    Row c of conj(T) is H[:, c]^T E^T, so conj(T) is walked in windows of
+    b = max(TSQR_BLOCK, 2n) rows, each built from the same columns of H, the
+    _FaceSplit that the combination oracle reduces. Each window is contracted
+    against the same columns of K = face_split(X_1^T .. X_k^T), whose t rows
+    are the Khatri-Rao rows x_1 (x) ... (x) x_k; the pairing is the diagonal
+    of K conj(T) conj(Y). Only Y is conjugated, and conjugation is exact.
+    Neither T nor H is held, and G and the members B_j X_j are never formed.
     """
-    n, k = family.n, family.k
-    h_bar = _face_split_view([b.conj() for b in family])
-    kr_bar = _face_split_view([x.T.conj() for x in xs])
-    e_bar = np.conj(e).T
-    norm_sq, z = 0.0, np.zeros((y.shape[1], n), dtype=np.complex128)
-    for w in _column_windows(n, n**k):
-        rows = h_bar[:, w].T @ e_bar
+    h = _FaceSplit(list(family))
+    kr = _FaceSplit([x.T for x in xs])
+    norm_sq, z = 0.0, np.zeros((y.shape[1], family.n), dtype=np.complex128)
+    for w in _column_windows(*h.shape):
+        rows = h[:, w].T @ e.T
         norm_sq += np.vdot(rows, rows).real
-        z += kr_bar[:, w] @ rows
-    return float(norm_sq), np.conj(np.einsum("ti,it->t", z, y))
+        z += kr[:, w] @ rows
+    return float(norm_sq), np.einsum("ti,it->t", z, y.conj())
 
 
 def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig) -> tuple[float, complex]:

@@ -44,6 +44,26 @@ def test_generate_refuses_oversized_family_before_drawing(monkeypatch):
         generate_family(10**3999, 1)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (2**64, "seed must fit in 64 unsigned bits, got 18446744073709551616"),
+    (2**70, "seed must fit in 64 unsigned bits, got 1180591620717411303424"),
+    (-1, "seed must fit in 64 unsigned bits, got -1"),
+    ("5", "seed must be an integer, got '5'"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+], ids=["2^64", "2^70", "-1", "str", "float", "bool"])
+def test_generate_refuses_seeds_outside_the_rule(seed, message):
+    with pytest.raises(ValueError) as info:
+        generate_family(2, 1, seed=seed)
+    assert str(info.value) == message
+
+
+def test_generate_takes_numpy_integer_seeds():
+    fam = generate_family(3, 2, seed=np.uint64(2**64 - 1))
+    ref = generate_family(3, 2, seed=2**64 - 1)
+    assert np.array_equal(np.stack(list(fam)).view(np.uint64), np.stack(list(ref)).view(np.uint64))
+
+
 def test_generate_deterministic_per_seed():
     a = generate_family(4, 2, seed=5)
     b = generate_family(4, 2, seed=5)

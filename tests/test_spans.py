@@ -250,20 +250,48 @@ def test_oracle_equals_range_basis_of_whole_face_split(fam):
     assert np.array_equal(streamed.basis, whole.basis)
 
 
+def same_bits(a, b):
+    """a and b hold the same shape and bits; uint64 views see the sign of each zero."""
+    return a.shape == b.shape and np.array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                                 np.ascontiguousarray(b).view(np.uint64))
+
+
 def test_face_split_slices_equal_the_whole():
+    # one to four factors of unequal widths, H narrow (at most n columns) and
+    # wide, 0-row factors (the Khatri-Rao rows of zero trials) and 0-column ones
     rng = np.random.default_rng(75)
     cases = (list(gaussian_family(6, 3, 72)),
              [complex_gaussian(rng, 3, 6) for _ in range(3)],  # t = 3 Khatri-Rao rows, n = 6
-             [complex_gaussian(rng, 4, m) for m in (6, 5, 7)])
+             [complex_gaussian(rng, 4, m) for m in (6, 5, 7)],
+             [complex_gaussian(rng, 5, 5)],  # the oracle's narrow H at k = 1
+             [complex_gaussian(rng, 4, 9)],
+             [complex_gaussian(rng, 7, m) for m in (2, 3)],  # narrow, k = 2
+             [complex_gaussian(rng, 1, 3) for _ in range(4)],  # n = 1
+             [complex_gaussian(rng, 5, m) for m in (3, 1, 4, 2)],
+             [complex_gaussian(rng, 0, 6)],
+             [complex_gaussian(rng, 0, 6) for _ in range(2)],
+             [complex_gaussian(rng, 0, m) for m in (5, 6, 4, 3)],
+             [complex_gaussian(rng, 3, 4), np.zeros((3, 0))],
+             [np.zeros((3, 0)), complex_gaussian(rng, 3, 4)])
     for mats in cases:
         h = hspan.spans._face_split(mats)
         lazy = hspan.spans._FaceSplit(mats)
         assert lazy.shape == h.shape
         for j, b in ((0, 5), (1, 6), (4, 31), (10, 23), (200, 16), (213, 100)):
-            assert np.array_equal(lazy[:, j:j + b], h[:, j:j + b])
-        assert np.array_equal(lazy[:, :], h)
+            assert same_bits(lazy[:, j:j + b], h[:, j:j + b])
+        assert same_bits(lazy[:, :], h)
+        assert same_bits(np.asarray(lazy), h)
+        assert same_bits(np.asarray(lazy, dtype=np.complex128), h)
         with pytest.raises(IndexError):
             lazy[0:1, 0:4]
+    # zeros keep their sign, but for a lone matrix's slices (p is then a column of ones)
+    signed = complex_gaussian(rng, 4, 4)
+    signed.real[::2], signed.imag[:, ::2] = -0.0, -0.0
+    for mats in ([signed], [signed, signed.T], [signed, complex_gaussian(rng, 4, 3), signed]):
+        h = hspan.spans._face_split(mats)
+        assert same_bits(np.asarray(hspan.spans._FaceSplit(mats)), h)
+        if len(mats) > 1:
+            assert same_bits(hspan.spans._FaceSplit(mats)[:, 3:40], h[:, 3:40])
 
 
 def test_oracle_never_holds_the_face_split():

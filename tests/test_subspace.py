@@ -29,6 +29,18 @@ def test_tolerance_config_rejects_nonpositive():
         ToleranceConfig(seed=-1)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.int32(7), np.uint64(2**64 - 1)])
+def test_tolerance_config_keeps_integer_seeds_as_int(seed):
+    cfg = ToleranceConfig(seed=seed)
+    assert type(cfg.seed) is int and cfg.seed == seed
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "7", True, False, None, np.float64(3.0), np.bool_(True)])
+def test_tolerance_config_refuses_non_integer_seeds(seed):
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+        ToleranceConfig(seed=seed)
+
+
 @pytest.mark.parametrize("tol", [1.0, 1e308, np.inf, np.nan, -0.0, -1e-10])
 def test_tolerance_config_rejects_rank_tol_outside_unit_interval(tol):
     with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):

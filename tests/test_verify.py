@@ -176,6 +176,37 @@ def test_tensor_sides_match_the_explicit_witness(monkeypatch, fam, m, trials, bl
         assert abs(paired[i] - expected) <= 1e-12 * abs(expected)
 
 
+def conjugated_tensor_sides(fam, e, xs, y):
+    """The tensor pass over conj(H): windows of conj(H)^T conj(E)^T against
+    conj(K), the whole face splits of the conjugated members and draws, and the
+    pairing conjugated at the end."""
+    h_bar = hspan.spans._face_split([b.conj() for b in fam])
+    kr_bar = hspan.spans._face_split([x.T.conj() for x in xs])
+    norm_sq, z = 0.0, np.zeros((y.shape[1], fam.n), dtype=np.complex128)
+    for w in hspan.subspace._column_windows(fam.n, fam.n ** fam.k):
+        rows = h_bar[:, w].T @ np.conj(e).T
+        norm_sq += np.vdot(rows, rows).real
+        z += kr_bar[:, w] @ rows
+    return float(norm_sq), np.conj(np.einsum("ti,it->t", z, y))
+
+
+@pytest.mark.parametrize("block", [None, 4, 23], ids=["default-block", "block-4", "block-23"])
+@pytest.mark.parametrize("trials", [0, 3])
+@pytest.mark.parametrize("fam, m", list(witness_cases()))
+def test_tensor_sides_equal_the_conjugated_pass(monkeypatch, fam, m, trials, block):
+    # walking H and conjugating once at the end gives every bit of the walk
+    # over conj(H); uint64 views compare the bits
+    if block is not None:
+        monkeypatch.setattr(hspan.subspace, "TSQR_BLOCK", block)
+    rng = np.random.default_rng(103)
+    *xs, y = [complex_gaussian(rng, fam.n, trials) for _ in range(fam.k + 1)]
+    norm_sq, paired = hv._tensor_sides(fam, m, xs, y)
+    ref_norm_sq, ref_paired = conjugated_tensor_sides(fam, m, xs, y)
+    assert np.float64(norm_sq).view(np.uint64) == np.float64(ref_norm_sq).view(np.uint64)
+    assert paired.shape == ref_paired.shape == (trials,)
+    assert np.array_equal(paired.view(np.uint64), ref_paired.view(np.uint64))
+
+
 def test_norm_trace_identity_agrees():
     for seed in range(5):
         fam = deficient_family(6, 2, 50 + seed)
