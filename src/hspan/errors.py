@@ -1,4 +1,4 @@
-"""Exception types shared across the package, their size format and the one budget refusal."""
+"""Exception types shared across the package, their integer formats and the one budget refusal."""
 
 
 class DimensionError(ValueError):
@@ -29,6 +29,14 @@ def size_text(value: int) -> str:
         return str(value)
     from decimal import Decimal  # only oversized requests pay for the import
     return f"{Decimal(value):.3g}"
+
+
+def int_text(value: int) -> str:
+    """An integer for a message: in full where str() can print it, else as size_text does."""
+    try:
+        return str(value)
+    except ValueError:  # past Python's int-to-string digit limit: -1.00e+5000
+        return size_text(value)
 
 
 def require_budget(size: int, budget: int, need: str, unit: str) -> None:

@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from .errors import InstanceFormatError, require_budget
+from .errors import InstanceFormatError, int_text, require_budget
 from .rng import STREAM_GEN, complex_gaussian, require_seed, seed_children
 from .spans import MatrixFamily, PsdFamily
 
@@ -50,13 +50,14 @@ def generate_family(n: int, k: int, kind: str = "general",
     entries (k n^2) are refused before any draw.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {int_text(n)}")
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise ValueError(f"k must be >= 1, got {int_text(k)}")
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if not 0 <= rank_deficit < n:
-        raise ValueError(f"rank deficit must satisfy 0 <= d < n, got d={rank_deficit}, n={n}")
+        raise ValueError("rank deficit must satisfy 0 <= d < n, "
+                         f"got d={int_text(rank_deficit)}, n={int_text(n)}")
     seed = require_seed(seed)
     require_budget(k * n * n, GEN_ENTRY_BUDGET, "k n^2", "matrix entries")
     mats = []

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import int_text
+
 # Stream tags. Each (seed, stream) pair owns an independent substream.
 STREAM_SAMPLE = 1  # random_sample_span draws
 STREAM_SINGLE = 2  # single_vector_sample_span draws
@@ -24,7 +26,7 @@ def require_seed(seed) -> int:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {int_text(seed)}")
     return int(seed)
 
 

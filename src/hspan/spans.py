@@ -17,11 +17,11 @@ x_j directly.
 
 For positive semidefinite A_1 .. A_k there are two tighter statements: the
 span of (A_1 x_1) o ... o (A_k x_k) is range(A_1 o ... o A_k)
-(psd_hadamard_span, reachable from the general result with B_i a PSD square
-root of A_i), and even a single shared vector x in every slot suffices
-(single_vector_sample_span samples that thinner family). psd_sqrt holds the
-Hermitian/PSD acceptance rule and computes that root; a PsdFamily applies it
-once per member, at construction, and keeps the roots.
+(psd_hadamard_span, reachable from the general result with any B_i such
+that B_i B_i* = A_i), and even a single shared vector x in every slot
+suffices (single_vector_sample_span samples that thinner family). psd_sqrt
+holds the Hermitian/PSD acceptance rule and returns such a factor; a
+PsdFamily applies it once per member, at construction, and keeps the factors.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError, NotPsdError, require_budget, size_text
+from .errors import (DimensionError, NotHermitianError, NotPsdError, int_text, require_budget,
+                     size_text)
 from .rng import STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian, seed_children
 from .subspace import Subspace, ToleranceConfig, as_matrix, range_basis
 
@@ -75,8 +76,8 @@ class PsdFamily(MatrixFamily):
     """A family whose members must be Hermitian positive semidefinite.
 
     Each member A_i passes psd_sqrt's rule once, at construction, and its
-    root is kept: `roots` is the MatrixFamily of the Hermitian PSD square
-    roots B_i, with B_i B_i* = A_i.
+    factor is kept: `roots` is the MatrixFamily of the B_i = psd_sqrt(A_i),
+    square and not Hermitian, with B_i B_i* = A_i.
     """
 
     def __init__(self, matrices):
@@ -235,20 +236,20 @@ def random_sample_span(family: MatrixFamily, samples: int, cfg: ToleranceConfig)
     """Span of `samples` random family members, one Gaussian x_j per slot,
     drawn in slot order; deterministic given cfg.seed."""
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise ValueError(f"samples must be >= 1, got {int_text(samples)}")
     return _sample_span(family, cfg, STREAM_SAMPLE, samples, shared=False)
 
 
 def psd_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Hermitian PSD square root via eigendecomposition, under the PSD rule.
+    """F = V sqrt(W), with V W V* = (A + A*) / 2 and F F* = A, under the PSD rule.
 
     A square A with a finite ||A||_F is accepted when its Hermitian defect
     ||A - A*||_F and the negative part of its smallest eigenvalue are at most
-    PSD_REL_TOL * ||A||_F; `name` labels A in the messages. Eigenvalues
-    inside that band are indistinguishable from zero at this type's
-    tolerance and are zeroed before taking the root. Without that truncation
-    the root would turn eigenvalue roundoff into sqrt(roundoff) singular
-    values, inflating the numerical rank of the result above the rank of A.
+    PSD_REL_TOL * ||A||_F; `name` labels A in the messages. F is not Hermitian.
+    Eigenvalues inside that band are indistinguishable from zero at this
+    type's tolerance and are zeroed, each leaving a zero column in F. Without
+    that truncation F would turn eigenvalue roundoff into sqrt(roundoff)
+    singular values, inflating its numerical rank above the rank of A.
     """
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
@@ -263,9 +264,7 @@ def psd_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
     if w.size and float(w[0]) < -PSD_REL_TOL * norm:
         raise NotPsdError(f"{name} has negative eigenvalue {float(w[0]):.3e}")
-    w = np.where(w <= PSD_REL_TOL * norm, 0.0, w)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+    return v * np.sqrt(np.where(w <= PSD_REL_TOL * norm, 0.0, w))
 
 
 def psd_hadamard_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:

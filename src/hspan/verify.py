@@ -45,7 +45,7 @@ rule, so that the same families skip them.
 
 The public identity functions take a family's members as the B_i as given,
 the A_i of a PsdFamily included. Only verify_all reduces a PsdFamily to its
-square roots B_i = A_i^(1/2), which the family keeps as `roots`.
+`roots`, factors with B_i B_i* = A_i; every identity holds for any such B_i.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, require_budget
+from .errors import DimensionError, int_text, require_budget
 from .rng import STREAM_ORTHO, STREAM_PAIRING
 from .spans import (MatrixFamily, PsdFamily, _draw_stack, _face_split, _FaceSplit, _members,
                     _require_draw_budget, _require_finite, gram_hadamard, psd_hadamard_span)
@@ -261,7 +261,7 @@ def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig)
     residuals measure how well the computed range(G) captures the family.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ValueError(f"trials must be >= 1, got {int_text(trials)}")
     _require_draw_budget((family.k + 1) * family.n, trials)
     _, _, e = _complement(family, cfg)
     return _orthogonality_residuals(family, trials, cfg, e, family_scale(family))
@@ -271,15 +271,15 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
                pairing_trials: int = 10, orthogonality_trials: int = 50) -> VerificationReport:
     """Run every identity check on one family and aggregate a report.
 
-    A PsdFamily is reduced to the square roots it keeps (family.roots), on
-    which the identity checks run; the report then also records the distance
-    between range(A_1 o ... o A_k) and the root family's span, which the PSD
-    specialization asserts is zero.
+    A PsdFamily is reduced to the factors B_i it keeps (family.roots), with
+    B_i B_i* = A_i, on which the identity checks run; the report then also
+    records the distance between range(A_1 o ... o A_k) and the factor
+    family's span, which the PSD specialization asserts is zero.
     """
     if pairing_trials < 0:
-        raise ValueError(f"pairing_trials must be >= 0, got {pairing_trials}")
+        raise ValueError(f"pairing_trials must be >= 0, got {int_text(pairing_trials)}")
     if orthogonality_trials < 1:
-        raise ValueError(f"orthogonality_trials must be >= 1, got {orthogonality_trials}")
+        raise ValueError(f"orthogonality_trials must be >= 1, got {int_text(orthogonality_trials)}")
     n, k = family.n, family.k
     with_tensor = n ** (k + 1) <= TENSOR_ENTRY_BUDGET
     _require_draw_budget((k + 1) * n, orthogonality_trials)

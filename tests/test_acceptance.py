@@ -130,8 +130,8 @@ def test_numerical_kernels():
         complex_gaussian(rng, n, n)  # discarded: the pinned draws below start after it
         m = complex_gaussian(rng, n, max(1, n - 2))
         gram = m @ m.conj().T
-        s = psd_sqrt(gram)
-        worst_sqrt = max(worst_sqrt, np.linalg.norm(s @ s - gram)
+        f = psd_sqrt(gram)
+        worst_sqrt = max(worst_sqrt, np.linalg.norm(f @ f.conj().T - gram)
                          / max(1.0, np.linalg.norm(gram)))
         for cols in (1, max(1, n // 2), n):
             q = range_basis(complex_gaussian(rng, n, cols), CFG)

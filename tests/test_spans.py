@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import families
 import hspan.spans
 from hspan import (BudgetExceededError, DimensionError, InstanceFormatError,
                    MatrixFamily, NotHermitianError, NotPsdError, PsdFamily,
@@ -12,11 +13,11 @@ from hspan import (BudgetExceededError, DimensionError, InstanceFormatError,
                    random_sample_span, range_basis, single_vector_sample_span,
                    subspace_distance)
 from hspan.errors import size_text
-from hspan.instances import instance_dict, parse_instance
+from hspan.instances import generate_family, instance_dict, parse_instance
 from hspan.rng import (STREAM_ORTHO, STREAM_PAIRING, STREAM_SAMPLE,
                        STREAM_SINGLE, complex_gaussian, seed_children)
 from hspan.spans import PSD_REL_TOL, sample_count
-from hspan.verify import verify_all
+from hspan.verify import orthogonality_check, verify_all
 
 CFG = ToleranceConfig(seed=42)
 
@@ -226,6 +227,30 @@ def test_huge_sizes_are_refused_in_one_short_message():
         random_sample_span(MatrixFamily([np.eye(2)]), 10**5000, CFG)
 
 
+HUGE = 10**5000  # more digits than Python's int-to-string limit allows
+EYE = MatrixFamily([np.eye(2)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ToleranceConfig(seed=-HUGE), "seed must fit in 64 unsigned bits, got -1.00e+5000"),
+    (lambda: generate_family(2, 1, seed=HUGE), "seed must fit in 64 unsigned bits, got 1.00e+5000"),
+    (lambda: generate_family(-HUGE, 1), "n must be >= 1, got -1.00e+5000"),
+    (lambda: generate_family(2, -HUGE), "k must be >= 1, got -1.00e+5000"),
+    (lambda: generate_family(2, 1, rank_deficit=HUGE),
+     "rank deficit must satisfy 0 <= d < n, got d=1.00e+5000, n=2"),
+    (lambda: random_sample_span(EYE, -HUGE, CFG), "samples must be >= 1, got -1.00e+5000"),
+    (lambda: verify_all(EYE, CFG, pairing_trials=-HUGE), "pairing_trials must be >= 0, got -1.00e+5000"),
+    (lambda: verify_all(EYE, CFG, orthogonality_trials=-HUGE),
+     "orthogonality_trials must be >= 1, got -1.00e+5000"),
+    (lambda: orthogonality_check(EYE, -HUGE, CFG), "trials must be >= 1, got -1.00e+5000"),
+], ids=["config-seed", "gen-seed", "gen-n", "gen-k", "gen-rank-deficit", "samples",
+        "pairing-trials", "orthogonality-trials", "trials"])
+def test_integer_refusals_print_huge_integers(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 GRADED = np.diag(np.logspace(0, -3, 16)).astype(np.complex128)
 
 
@@ -433,11 +458,40 @@ def test_products_that_do_not_underflow_keep_their_rank(members, rank):
 
 ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: each route cuts its rank "
                                              "on its own scale, not on sigma(H)")
+
+
+def _haar(rng, n):
+    """A Haar unitary: the Q of a complex Gaussian's QR, each column rephased by R's diagonal."""
+    q, r = np.linalg.qr(complex_gaussian(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _rotated(diagonals, seed):
+    """B_j = D_j U_j with Haar U_j, whose H has the singular values of the D_j's H."""
+    rng = np.random.default_rng(seed)
+    return MatrixFamily([np.diag(d) @ _haar(rng, len(d)) for d in diagonals])
+
+
+def _low_rank(n, ranks, seed):
+    """B_j = M_j N_j with Gaussian M_j of shape n x r_j and N_j of shape r_j x n."""
+    rng = np.random.default_rng(seed)
+    return MatrixFamily([complex_gaussian(rng, n, r) @ complex_gaussian(rng, r, n) for r in ranks])
+
+
+# name: (family, rank). For diagonal D_j (the A_j of a psd family) and their right-rotated
+# twins D_j U_j, sigma(H)_i = prod_j |d_j[i]|, and the rank counts those above
+# rank_rel_tol * sigma_1(H). A low-rank family's G has rank min(n, prod_j r_j).
 GRADED = {
-    "16x3": lambda: MatrixFamily([np.diag(np.logspace(0, -3, 16))] * 3),
-    "16x4": lambda: MatrixFamily([np.diag(np.logspace(0, -1.5, 16))] * 4),
-    "diag-3e-6": lambda: MatrixFamily([np.diag([1.0, 3e-6])]),
-    "psd-16x3": lambda: PsdFamily([np.diag(np.logspace(0, -3, 16))] * 3),
+    "16x3": (lambda: MatrixFamily([np.diag(np.logspace(0, -3, 16))] * 3), 16),
+    "16x4": (lambda: MatrixFamily([np.diag(np.logspace(0, -1.5, 16))] * 4), 16),
+    "diag-3e-6": (lambda: MatrixFamily([np.diag([1.0, 3e-6])]), 2),
+    "psd-16x3": (lambda: PsdFamily([np.diag(np.logspace(0, -3, 16))] * 3), 16),
+    "rotated-16x3": (lambda: _rotated([np.logspace(0, -3, 16)] * 3, seed=1), 16),
+    "rotated-16x4": (lambda: _rotated([np.logspace(0, -1.5, 16)] * 4, seed=2), 16),
+    "rotated-diag-3e-6": (lambda: _rotated([[1.0, 3e-6]], seed=3), 2),
+    "low-rank-16x2": (lambda: _low_rank(16, [3, 3], seed=4), 9),
+    "low-rank-8x3": (lambda: _low_rank(8, [2, 2, 2], seed=5), 8),
+    "low-rank-12x2": (lambda: _low_rank(12, [2, 5], seed=6), 10),
 }
 GRADED_ROUTES = {
     "gram": hadamard_span,
@@ -462,14 +516,28 @@ GRADED_ROUTES = {
     pytest.param("psd-16x3", "oracle", marks=ITEM_1),
     pytest.param("psd-16x3", "sampler", marks=ITEM_1),
     pytest.param("psd-16x3", "single-vector", marks=ITEM_1),
+    pytest.param("rotated-16x3", "gram", marks=ITEM_1),
+    pytest.param("rotated-16x3", "oracle", marks=ITEM_1),
+    pytest.param("rotated-16x3", "sampler", marks=ITEM_1),
+    pytest.param("rotated-16x4", "gram", marks=ITEM_1),
+    pytest.param("rotated-16x4", "oracle", marks=ITEM_1),
+    ("rotated-16x4", "sampler"),
+    pytest.param("rotated-diag-3e-6", "gram", marks=ITEM_1),
+    ("rotated-diag-3e-6", "oracle"),
+    ("rotated-diag-3e-6", "sampler"),
+    ("low-rank-16x2", "gram"),
+    ("low-rank-16x2", "oracle"),
+    ("low-rank-16x2", "sampler"),
+    ("low-rank-8x3", "gram"),
+    ("low-rank-8x3", "oracle"),
+    ("low-rank-8x3", "sampler"),
+    ("low-rank-12x2", "gram"),
+    ("low-rank-12x2", "oracle"),
+    ("low-rank-12x2", "sampler"),
 ])
 def test_graded_diagonal_families_get_the_sigma_h_rank(family, route):
-    # sigma(H)_i = prod_j |d_j[i]| for diagonal members d_j (the A_j of a psd family),
-    # and the rank counts those above rank_rel_tol * sigma_1(H); it is 16, 16, 2 and 16
-    fam, cfg = GRADED[family](), ToleranceConfig()
-    sigma = np.prod([np.abs(np.diag(m)) for m in fam], axis=0)
-    expected = int(np.sum(sigma > cfg.rank_rel_tol * sigma.max()))
-    assert GRADED_ROUTES[route](fam, cfg).rank == expected
+    build, rank = GRADED[family]
+    assert GRADED_ROUTES[route](build(), ToleranceConfig()).rank == rank
 
 
 def test_single_vector_statement_needs_psd_members():
@@ -520,7 +588,9 @@ def test_psd_sqrt_examples():
     np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
     v = complex_gaussian(np.random.default_rng(10), 4)
     p = np.outer(v, v.conj()) / np.linalg.norm(v) ** 2
-    np.testing.assert_allclose(psd_sqrt(p), p, atol=1e-12)
+    f = psd_sqrt(p)
+    np.testing.assert_allclose(f @ f.conj().T, p, atol=1e-12)
+    assert range_basis(f, CFG).rank == 1
 
 
 def test_psd_sqrt_squares_back():
@@ -528,9 +598,19 @@ def test_psd_sqrt_squares_back():
     for n, r in [(3, 1), (5, 3), (8, 8)]:
         m = complex_gaussian(rng, n, r)
         a = m @ m.conj().T
-        s = psd_sqrt(a)
-        assert np.linalg.norm(s @ s - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
-        np.testing.assert_allclose(s, s.conj().T)
+        f = psd_sqrt(a)
+        assert np.linalg.norm(f @ f.conj().T - a) <= 1e-8 * max(1.0, np.linalg.norm(a))
+
+
+def test_psd_sqrt_factors_the_psd_corpus():
+    # F F* = A, and the eigenvalues the rule zeroes are exactly F's zero columns
+    for label, family in families.psd_corpus():
+        for a in family:
+            f = psd_sqrt(a)
+            assert np.linalg.norm(f @ f.conj().T - a) <= 1e-8 * np.linalg.norm(a), label
+            w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+            zeroed = np.count_nonzero(w <= PSD_REL_TOL * np.linalg.norm(a))
+            assert np.count_nonzero(~f.any(axis=0)) == zeroed, label
 
 
 def test_psd_sqrt_preserves_numerical_rank():
