@@ -124,14 +124,14 @@ def _walk_matrices(mats_obj, n: int) -> list:
     InstanceFormatError that names it."""
     mats = []
     for mi, rows in enumerate(mats_obj):
-        if not isinstance(rows, list) or len(rows) != n:
+        if not isinstance(rows, (list, tuple)) or len(rows) != n:
             raise InstanceFormatError(f"matrix {mi + 1} must have {n} rows")
         m = np.empty((n, n), dtype=np.complex128)
         for ri, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != n:
+            if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise InstanceFormatError(f"matrix {mi + 1} row {ri + 1} must have {n} entries")
             for ci, entry in enumerate(row):
-                pair = (isinstance(entry, list) and len(entry) == 2
+                pair = (isinstance(entry, (list, tuple)) and len(entry) == 2
                         and all(isinstance(p, (int, float)) and not isinstance(p, bool)
                                 for p in entry))
                 try:
@@ -153,8 +153,8 @@ def _decode_matrices(mats_obj, n: int, k: int):
     a finite int or float, so that _walk_matrices can name the bad one.
 
     The float64 pairs are viewed as complex128, which keeps every bit,
-    -0.0 included. json.load yields lists only; other sequences (tuples,
-    arrays) would pass here where the walker rejects them.
+    -0.0 included. json.load yields lists only; tuples pass here and in the
+    walker alike, and other sequences (arrays) pass here only.
     """
     try:
         obj = np.array(mats_obj, dtype=object)

@@ -43,9 +43,8 @@ u[p] * v[q]. The tensor witness and the checks on it are limited to
 n^(k+1) <= TENSOR_ENTRY_BUDGET entries. The checks stream T, but keep the
 rule, so that the same families skip them.
 
-The public identity functions take a family's members as the B_i as given,
-the A_i of a PsdFamily included. Only verify_all reduces a PsdFamily to its
-`roots`, factors with B_i B_i* = A_i; every identity holds for any such B_i.
+Every function here reads a PsdFamily through its `roots`, the factors
+B_i with B_i B_i* = A_i, for which every identity holds.
 """
 
 from __future__ import annotations
@@ -73,11 +72,15 @@ SPAN_DISTANCE_TOL = 1e-8
 TENSOR_ENTRY_BUDGET = 1_000_000
 
 
+def _factors(family: MatrixFamily) -> MatrixFamily:
+    return family.roots if isinstance(family, PsdFamily) else family
+
+
 def family_scale(family: MatrixFamily) -> float:
-    """prod_i ||B_i||_F, the natural magnitude of the family. A family whose
-    scale^2, the norm-trace tolerance's unit, overflows is rejected."""
+    """prod_i ||B_i||_F, over a PsdFamily's roots: the family's magnitude. A
+    family whose scale^2, the norm-trace tolerance's unit, overflows is rejected."""
     with np.errstate(over="ignore"):
-        scale = float(np.prod([np.linalg.norm(b) for b in family]))
+        scale = float(np.prod([np.linalg.norm(b) for b in _factors(family)]))
     _require_finite(scale * scale, "(prod_i ||B_i||_F)^2")
     return scale
 
@@ -117,6 +120,7 @@ def column_identity_residual(family: MatrixFamily) -> float:
     rebuilds each column from per-matrix matvecs on B_j* e_i = conj(B_j[i, :])
     and never forms a Gram matrix.
     """
+    family = _factors(family)
     return _column_identity(family, gram_hadamard(family))
 
 
@@ -131,11 +135,12 @@ def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
 
 
 def _complement(family: MatrixFamily, cfg: ToleranceConfig):
-    """(G, range(G), E): the Gram matrix, its range under cfg's rank policy,
-    and the projector onto the orthogonal complement of that range."""
-    g = gram_hadamard(family)
+    """(B, G, range(G), E): the factors B_i the checks run on (a PsdFamily's
+    roots), their Gram matrix, its range under cfg's rank policy, and the
+    projector onto the orthogonal complement of that range."""
+    g = gram_hadamard(bfam := _factors(family))
     span = range_basis(g, cfg)
-    return g, span, complement_projector(span)
+    return bfam, g, span, complement_projector(span)
 
 
 def _tensor_from(family: MatrixFamily, e: np.ndarray) -> np.ndarray:
@@ -163,8 +168,8 @@ def tensor_witness(family: MatrixFamily, cfg: ToleranceConfig) -> np.ndarray:
     verify_all) never hold it: they stream it one window of rows at a time.
     """
     _require_tensor_budget(family)
-    _, _, e = _complement(family, cfg)
-    return _tensor_from(family, e)
+    bfam, _, _, e = _complement(family, cfg)
+    return _tensor_from(bfam, e)
 
 
 def _tensor_sides(family: MatrixFamily, e: np.ndarray, xs, y) -> tuple[float, np.ndarray]:
@@ -196,9 +201,9 @@ def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig) -> tuple[flo
     trace side is a plain matrix product, no tensor involved.
     """
     _require_tensor_budget(family)
-    g, _, e = _complement(family, cfg)
+    bfam, g, _, e = _complement(family, cfg)
     empty = np.empty((family.n, 0))
-    return _tensor_sides(family, e, [empty] * family.k, empty)[0], complex(np.trace(e @ g))
+    return _tensor_sides(bfam, e, [empty] * family.k, empty)[0], complex(np.trace(e @ g))
 
 
 def _family_pairing(family, xs, y, e, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +239,7 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
     if y.shape != (family.n,):
         raise DimensionError(f"y has shape {y.shape}, expected ({family.n},)")
     _require_tensor_budget(family)
-    _, _, e = _complement(family, cfg)
+    family, _, _, e = _complement(family, cfg)
     scale = family_scale(family)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = scale * np.prod([np.linalg.norm(x) for x in xs]) * np.linalg.norm(y)
@@ -263,7 +268,7 @@ def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {int_text(trials)}")
     _require_draw_budget((family.k + 1) * family.n, trials)
-    _, _, e = _complement(family, cfg)
+    family, _, _, e = _complement(family, cfg)
     return _orthogonality_residuals(family, trials, cfg, e, family_scale(family))
 
 
@@ -271,10 +276,9 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
                pairing_trials: int = 10, orthogonality_trials: int = 50) -> VerificationReport:
     """Run every identity check on one family and aggregate a report.
 
-    A PsdFamily is reduced to the factors B_i it keeps (family.roots), with
-    B_i B_i* = A_i, on which the identity checks run; the report then also
-    records the distance between range(A_1 o ... o A_k) and the factor
-    family's span, which the PSD specialization asserts is zero.
+    As everywhere in this module, the checks on a PsdFamily run on its roots;
+    the report then also records the distance between range(A_1 o ... o A_k)
+    and the roots' span, which the PSD specialization asserts is zero.
     """
     if pairing_trials < 0:
         raise ValueError(f"pairing_trials must be >= 0, got {int_text(pairing_trials)}")
@@ -285,12 +289,8 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     _require_draw_budget((k + 1) * n, orthogonality_trials)
     if with_tensor:  # the n^k term keeps refusing the same inputs until ROADMAP item 7
         _require_draw_budget((k + 1) * n + n ** k, pairing_trials)
-    psd_input = isinstance(family, PsdFamily)
-    if psd_input:
-        product_span = psd_hadamard_span(family, cfg)
-    bfam = family.roots if psd_input else family
-
-    g, span, e = _complement(bfam, cfg)  # rejects entries whose G overflows
+    product_span = psd_hadamard_span(family, cfg) if isinstance(family, PsdFamily) else None
+    bfam, g, span, e = _complement(family, cfg)  # rejects entries whose G overflows
     scale = family_scale(bfam)
 
     checks: dict[str, bool] = {}
@@ -321,7 +321,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     checks["orthogonality"] = max(orthogonality_residuals) <= ORTHOGONALITY_TOL
 
     psd_distance = None
-    if psd_input:
+    if product_span is not None:
         psd_distance = subspace_distance(product_span, span)
         checks["psd_span"] = psd_distance <= SPAN_DISTANCE_TOL
 

@@ -8,11 +8,18 @@ with controlled member ranks. Both are pure functions of the pinned entropy
 below, so every test run sees byte-identical matrices. face_split() is the
 reference face-splitting product that the wide-SVD and tensor-witness tests
 build their inputs and expectations from.
+
+rotated() and low_rank() build dense families whose singular values of H
+are known in closed form, and closed_form_families() is a hypothesis
+strategy over both.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from hspan import MatrixFamily, PsdFamily
 from hspan.rng import complex_gaussian
@@ -117,3 +124,53 @@ def psd_corpus() -> list[tuple[str, PsdFamily]]:
                     mats.append(m @ m.conj().T)
                 out.append((f"psd-n{n}-k{k}-t{trial}", PsdFamily(mats)))
     return out
+
+
+def haar(rng, n):
+    """A Haar unitary: the Q of a complex Gaussian's QR, each column rephased by R's diagonal."""
+    q, r = np.linalg.qr(complex_gaussian(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(diagonals, seed):
+    """B_j = D_j U_j with Haar U_j. H = diag(prod_j d_j) face_split(U_1 .. U_k) and
+    G = |diag(prod_j d_j)|^2, so sigma(H) is the sorted |prod_j d_j[i]|."""
+    rng = np.random.default_rng(seed)
+    return MatrixFamily([np.diag(d) @ haar(rng, len(d)) for d in diagonals])
+
+
+def low_rank(n, ranks, seed):
+    """B_j = M_j N_j with Gaussian M_j of shape n x r_j and N_j of shape r_j x n.
+    H = face_split(M_1 .. M_k) (N_1 (x) ... (x) N_k) has rank min(n, prod_j r_j)
+    with probability 1, the generic rank of a Khatri-Rao product."""
+    rng = np.random.default_rng(seed)
+    return MatrixFamily([complex_gaussian(rng, n, r) @ complex_gaussian(rng, r, n) for r in ranks])
+
+
+@st.composite
+def closed_form_families(draw):
+    """(family, sigma): a rotated or low-rank family with 2 <= n <= 32, 1 <= k <= 8 and
+    n^k <= 4096, and the nonzero singular values of its H in descending order.
+
+    A rotated family grades each slot's spectrum over up to 5 / k decades, permutes
+    it, and may zero some entries of one slot; sigma is the closed form. Five decades
+    in all reach past the gram route's cutoff, sqrt(1e-10 n) sigma_1, at every n. A
+    low-rank family draws each r_j in 1..n; sigma is the first min(n, prod_j r_j)
+    singular values of face_split(B_1 .. B_k).
+    """
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(2, max(m for m in range(2, 33) if m ** k <= 4096)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        diagonals = []
+        for _ in range(k):
+            d = np.logspace(0, -draw(st.floats(0, 5 / k)), n)
+            diagonals.append(d[draw(st.permutations(range(n)))])
+        holes = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
+        diagonals[draw(st.integers(0, k - 1))][list(holes)] = 0.0
+        products = np.abs(np.prod(diagonals, axis=0))
+        return rotated(diagonals, seed), np.sort(products[products > 0])[::-1]
+    ranks = [draw(st.integers(1, n)) for _ in range(k)]
+    fam = low_rank(n, ranks, seed)
+    sigma = np.linalg.svd(face_split(list(fam)), compute_uv=False)
+    return fam, sigma[:min(n, math.prod(ranks))]

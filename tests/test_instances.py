@@ -333,6 +333,11 @@ def _bad_entry(snippet, message):
     return _swapped((1, 0, 1), snippet), f"matrix 2 row 1 col 2: {message}"
 
 
+def _tuples(matrices):
+    """Each matrix of `matrices` as nested tuples: its rows, and each row's entries."""
+    return [tuple(tuple(map(tuple, row)) for row in m) for m in matrices]
+
+
 @pytest.mark.parametrize("kind,matrices,message", [
     pytest.param("general", [[[[0.5, -2.0]]]], None, id="1x1"),
     pytest.param("general", json.loads(DECODE_BASE)[:1], None, id="k1"),
@@ -366,6 +371,9 @@ def _bad_entry(snippet, message):
     pytest.param("general", *_bad_entry(
         "[1.0, 2.0, 3.0]", "entry must be a [re, im] number pair, got [1.0, 2.0, 3.0]"),
         id="three-element-entry"),
+    pytest.param("general", _tuples(json.loads(DECODE_BASE)), None, id="tuples"),
+    pytest.param("general", _tuples(_swapped((1, 0, 1), "[NaN, 0.0]")),
+                 "matrix 2 row 1 col 2: non-finite entry (nan, 0.0)", id="nan-in-tuples"),
 ])
 def test_vectorized_decode_matches_walker(kind, matrices, message):
     n, k = len(matrices[0]), len(matrices)

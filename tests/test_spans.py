@@ -1,8 +1,10 @@
+import itertools
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import families
 import hspan.spans
@@ -460,24 +462,6 @@ ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: each route cuts 
                                              "on its own scale, not on sigma(H)")
 
 
-def _haar(rng, n):
-    """A Haar unitary: the Q of a complex Gaussian's QR, each column rephased by R's diagonal."""
-    q, r = np.linalg.qr(complex_gaussian(rng, n, n))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _rotated(diagonals, seed):
-    """B_j = D_j U_j with Haar U_j, whose H has the singular values of the D_j's H."""
-    rng = np.random.default_rng(seed)
-    return MatrixFamily([np.diag(d) @ _haar(rng, len(d)) for d in diagonals])
-
-
-def _low_rank(n, ranks, seed):
-    """B_j = M_j N_j with Gaussian M_j of shape n x r_j and N_j of shape r_j x n."""
-    rng = np.random.default_rng(seed)
-    return MatrixFamily([complex_gaussian(rng, n, r) @ complex_gaussian(rng, r, n) for r in ranks])
-
-
 # name: (family, rank). For diagonal D_j (the A_j of a psd family) and their right-rotated
 # twins D_j U_j, sigma(H)_i = prod_j |d_j[i]|, and the rank counts those above
 # rank_rel_tol * sigma_1(H). A low-rank family's G has rank min(n, prod_j r_j).
@@ -486,12 +470,12 @@ GRADED = {
     "16x4": (lambda: MatrixFamily([np.diag(np.logspace(0, -1.5, 16))] * 4), 16),
     "diag-3e-6": (lambda: MatrixFamily([np.diag([1.0, 3e-6])]), 2),
     "psd-16x3": (lambda: PsdFamily([np.diag(np.logspace(0, -3, 16))] * 3), 16),
-    "rotated-16x3": (lambda: _rotated([np.logspace(0, -3, 16)] * 3, seed=1), 16),
-    "rotated-16x4": (lambda: _rotated([np.logspace(0, -1.5, 16)] * 4, seed=2), 16),
-    "rotated-diag-3e-6": (lambda: _rotated([[1.0, 3e-6]], seed=3), 2),
-    "low-rank-16x2": (lambda: _low_rank(16, [3, 3], seed=4), 9),
-    "low-rank-8x3": (lambda: _low_rank(8, [2, 2, 2], seed=5), 8),
-    "low-rank-12x2": (lambda: _low_rank(12, [2, 5], seed=6), 10),
+    "rotated-16x3": (lambda: families.rotated([np.logspace(0, -3, 16)] * 3, seed=1), 16),
+    "rotated-16x4": (lambda: families.rotated([np.logspace(0, -1.5, 16)] * 4, seed=2), 16),
+    "rotated-diag-3e-6": (lambda: families.rotated([[1.0, 3e-6]], seed=3), 2),
+    "low-rank-16x2": (lambda: families.low_rank(16, [3, 3], seed=4), 9),
+    "low-rank-8x3": (lambda: families.low_rank(8, [2, 2, 2], seed=5), 8),
+    "low-rank-12x2": (lambda: families.low_rank(12, [2, 5], seed=6), 10),
 }
 GRADED_ROUTES = {
     "gram": hadamard_span,
@@ -538,6 +522,24 @@ GRADED_ROUTES = {
 def test_graded_diagonal_families_get_the_sigma_h_rank(family, route):
     build, rank = GRADED[family]
     assert GRADED_ROUTES[route](build(), ToleranceConfig()).rank == rank
+
+
+# The strictest cutoff on the sigma(H) scale is the gram route's,
+# sigma_i(H) > sqrt(rank_rel_tol * n) * sigma_1(H), as it cuts the eigenvalues of
+# G = H H*. The band reaches BAND times that cutoff; inside it nothing is asserted.
+BAND = 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(families.closed_form_families())
+def test_routes_get_the_closed_form_rank_outside_the_band(case):
+    fam, sigma = case
+    cfg = ToleranceConfig()
+    assume(sigma[-1] > BAND * np.sqrt(cfg.rank_rel_tol * fam.n) * sigma[0])
+    spans = [GRADED_ROUTES[route](fam, cfg) for route in ("gram", "oracle", "sampler")]
+    assert [s.rank for s in spans] == [sigma.size] * 3
+    for a, b in itertools.combinations(spans, 2):
+        assert subspace_distance(a, b) <= 1e-8
 
 
 def test_single_vector_statement_needs_psd_members():

@@ -375,21 +375,46 @@ def agreement_cases():
     yield pytest.param(deficient_family(6, 2, 97), id="deficient-6x2")
     m1, m2 = complex_gaussian(rng, 5, 2), complex_gaussian(rng, 5, 4)
     yield pytest.param(PsdFamily([m1 @ m1.conj().T, m2 @ m2.conj().T]), id="psd-5x2")
+    for name, fam in families.psd_corpus():
+        yield pytest.param(fam, id=name)
+    # the psd-16x3 family of test_spans.GRADED, and the same construction at 16x4
+    # with 1.5 decades, whose tensor checks are over budget
+    yield pytest.param(PsdFamily([np.diag(np.logspace(0, -3, 16))] * 3), id="graded-psd-16x3")
+    yield pytest.param(PsdFamily([np.diag(np.logspace(0, -1.5, 16))] * 4), id="graded-psd-16x4")
+
+
+def bits(x):
+    """x as uint64 words, so that equality compares every bit."""
+    return np.atleast_1d(np.asarray(x)).view(np.uint64)
 
 
 @pytest.mark.parametrize("fam", list(agreement_cases()))
 def test_verify_all_agrees_with_identity_functions(fam):
     rep = verify_all(fam, CFG)
-    if isinstance(fam, PsdFamily):  # the checks run on the square-root family
-        fam = MatrixFamily([psd_sqrt(a) for a in fam])
+    # every public function reads a PsdFamily through its roots, bit for bit
+    roots = fam.roots if isinstance(fam, PsdFamily) else fam
+    vecs = complex_gaussian(np.random.default_rng(95), fam.k + 1, fam.n)
+    calls = [family_scale, column_identity_residual, lambda f: orthogonality_check(f, 50, CFG)]
+    with_tensor = fam.n ** (fam.k + 1) <= hv.TENSOR_ENTRY_BUDGET
+    if with_tensor:
+        calls += [lambda f: tensor_witness(f, CFG), lambda f: norm_trace_identity(f, CFG),
+                  lambda f: pairing_identity_residual(f, vecs[:-1], vecs[-1], CFG)]
+    for call in calls:
+        assert np.array_equal(bits(call(fam)), bits(call(roots)))
     assert list(rep.orthogonality_residuals) == orthogonality_check(fam, 50, CFG)
+    if not with_tensor:
+        assert rep.skipped == ("norm_trace", "pairing")
+        return
     assert (rep.tensor_norm_sq, rep.trace_eg) == norm_trace_identity(fam, CFG)
+    if isinstance(fam, PsdFamily):  # the private helpers take the square-root family
+        fam = MatrixFamily([psd_sqrt(a) for a in fam])
     # trial i draws x_1 .. x_k and then y, after trial i - 1, from one generator
-    # seeded by the first pairing child seed
+    # seeded by the first pairing child seed; the stacks keep the draws' sample-major
+    # layout, as BLAS may round a product of a transposed copy differently
     rng = np.random.default_rng(seed_children(CFG.seed, STREAM_PAIRING, 1)[0])
     draws = [[complex_gaussian(rng, fam.n) for _ in range(fam.k + 1)] for _ in range(10)]
-    *xs, y = [np.column_stack(vs) for vs in zip(*draws)]
-    _, _, e = hv._complement(fam, CFG)
+    *xs, y = np.array(draws).transpose(1, 2, 0)
+    _, _, _, e = hv._complement(fam, CFG)
     paired = hv._tensor_sides(fam, e, xs, y)[1]
     expected = hv._pairing_residual(fam, xs, y, e, paired, family_scale(fam))
     assert list(rep.pairing_residuals) == expected.tolist()
