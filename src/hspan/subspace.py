@@ -2,10 +2,10 @@
 
 A subspace of C^n is carried as an orthonormal basis, produced by a
 rank-revealing SVD with a spectral-relative threshold: singular values above
-rank_rel_tol * max(rows, cols) * sigma_1 count toward the rank. A wide n x m
-matrix is first reduced to an n x n factor with the same singular values and
-range, so no m-long factor is built; its cutoff still uses max(n, m). The
-reduction is a blocked tall-skinny QR (TSQR) over column slices of at most
+rank_rel_tol * sigma_1 count toward the rank, with no dimension factor for
+any shape. A wide n x m matrix is first reduced to an n x n factor with the
+same singular values and range, so no m-long factor is built. The reduction
+is a blocked tall-skinny QR (TSQR) over column slices of at most
 max(TSQR_BLOCK, 2n) columns, so A is never copied whole. Each slice is
 coerced and checked on its own, so a wide A only needs a 2-D .shape and
 column slicing: the combination oracle passes its n x n^k matrix as an
@@ -42,8 +42,8 @@ def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
 class ToleranceConfig:
     """Numerical policy: the relative rank threshold and the RNG seed.
 
-    rank_rel_tol lies in (0, 1): at 1 or above the cutoff is at least
-    sigma_1, so every matrix would get rank 0.
+    rank_rel_tol lies in (0, 1): the cutoff is rank_rel_tol * sigma_1, so at 1
+    or above every matrix would get rank 0.
     """
 
     rank_rel_tol: float = 1e-10
@@ -113,7 +113,7 @@ def _wide_factor(a: np.ndarray) -> np.ndarray:
 
 
 def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
-    """Orthonormal basis of the column space of A under cfg's rank policy.
+    """Orthonormal basis of range(A), keeping singular values above rank_rel_tol * sigma_1.
 
     A wide A is rank-revealed through R^T, where A^T = Q R: A = R^T Q^T and
     Q^T has orthonormal rows, so A and the n x n matrix R^T share singular
@@ -128,7 +128,7 @@ def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
         a = as_matrix(a, "A")  # a wide A is coerced one slice at a time
     n, cols = a.shape
     u, s, _ = np.linalg.svd(_wide_factor(a) if cols > n else a, full_matrices=False)
-    cutoff = cfg.rank_rel_tol * max(a.shape) * (s[0] if s.size else 0.0)
+    cutoff = cfg.rank_rel_tol * (s[0] if s.size else 0.0)
     r = int(np.count_nonzero(s > cutoff))
     return Subspace(u[:, :r], cutoff)
 

@@ -152,20 +152,21 @@ def closed_form_families(draw):
     """(family, sigma): a rotated or low-rank family with 2 <= n <= 32, 1 <= k <= 8 and
     n^k <= 4096, and the nonzero singular values of its H in descending order.
 
-    A rotated family grades each slot's spectrum over up to 5 / k decades, permutes
-    it, and may zero some entries of one slot; sigma is the closed form. Five decades
-    in all reach past the gram route's cutoff, sqrt(1e-10 n) sigma_1, at every n. A
-    low-rank family draws each r_j in 1..n; sigma is the first min(n, prod_j r_j)
-    singular values of face_split(B_1 .. B_k).
+    A rotated family grades each slot's spectrum over up to 12 / k decades, orders
+    every slot by one common permutation or each by its own, and may zero some entries
+    of one slot; sigma is the closed form. Under a common order the twelve decades add
+    up, past the cutoff 1e-10 sigma_1 of the oracle and the samplers. A low-rank family
+    draws each r_j in 1..n; sigma is the first min(n, prod_j r_j) singular values of
+    face_split(B_1 .. B_k).
     """
     k = draw(st.integers(1, 8))
     n = draw(st.integers(2, max(m for m in range(2, 33) if m ** k <= 4096)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     if draw(st.booleans()):
-        diagonals = []
+        diagonals, common = [], draw(st.one_of(st.none(), st.permutations(range(n))))
         for _ in range(k):
-            d = np.logspace(0, -draw(st.floats(0, 5 / k)), n)
-            diagonals.append(d[draw(st.permutations(range(n)))])
+            d = np.logspace(0, -draw(st.integers(0, 120)) / (10 * k), n)
+            diagonals.append(d[common or draw(st.permutations(range(n)))])
         holes = draw(st.sets(st.integers(0, n - 1), max_size=n // 2))
         diagonals[draw(st.integers(0, k - 1))][list(holes)] = 0.0
         products = np.abs(np.prod(diagonals, axis=0))

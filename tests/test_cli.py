@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hspan.cli as cli
-from hspan import MatrixFamily, generate_family, instance_dict, write_instance
+from hspan import MatrixFamily, generate_family, instance_dict, load_instance, write_instance
 from hspan.spans import DRAW_ENTRY_BUDGET
 
 
@@ -88,6 +88,19 @@ def test_span_psd_uses_product_range(tmp_path):
     code, out, _ = run_cli("span", path)
     assert code == 0
     assert reports(out)[0]["rank"] == 1
+
+
+@pytest.mark.parametrize("kind", ["general", "psd"])
+def test_span_rank_cutoff_is_rank_tol_times_sigma_1(tmp_path, kind):
+    # the route reduces G = (B_1 B_1*) o ... o (B_k B_k*), or P = A_1 o ... o A_k
+    path = tmp_path / f"{kind}.json"
+    assert run_cli("gen", 5, 3, "--kind", kind, "--seed", 3, "--out", path)[0] == 0
+    fam, _ = load_instance(path)
+    reduced = np.prod(list(fam) if kind == "psd" else [b @ b.conj().T for b in fam], axis=0)
+    code, out, _ = run_cli("span", path, "--rank-tol", 1e-6)
+    assert code == 0
+    assert reports(out)[0]["rank_cutoff"] == pytest.approx(1e-6 * np.linalg.norm(reduced, 2),
+                                                           rel=1e-12)
 
 
 def test_compare_basis_mode_passes(instance):

@@ -1,10 +1,9 @@
-import itertools
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 import families
 import hspan.spans
@@ -253,7 +252,7 @@ def test_integer_refusals_print_huge_integers(call, message):
     assert str(info.value) == message
 
 
-GRADED = np.diag(np.logspace(0, -3, 16)).astype(np.complex128)
+GRADED_MEMBER = np.diag(np.logspace(0, -3, 16)).astype(np.complex128)
 
 
 def oracle_cases():
@@ -264,7 +263,7 @@ def oracle_cases():
         yield pytest.param(gaussian_family(n, k, 60 + n + k), id=f"{n}x{k}")
     mats = list(gaussian_family(6, 3, 70))
     yield pytest.param(MatrixFamily([mats[0], np.zeros((6, 6)), mats[2]]), id="zero-member")
-    yield pytest.param(MatrixFamily([GRADED] * 3), id="graded-16x3")
+    yield pytest.param(MatrixFamily([GRADED_MEMBER] * 3), id="graded-16x3")
     yield pytest.param(gaussian_psd(8, 3, [3, 8, 5], 71), id="psd-8x3")
 
 
@@ -458,8 +457,8 @@ def test_products_that_do_not_underflow_keep_their_rank(members, rank):
     assert verify_all(fam, CFG).passed
 
 
-ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: each route cuts its rank "
-                                             "on its own scale, not on sigma(H)")
+ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the gram route cuts G's "
+                                             "eigenvalues, on the sigma(H)^2 scale")
 
 
 # name: (family, rank). For diagonal D_j (the A_j of a psd family) and their right-rotated
@@ -488,23 +487,23 @@ GRADED_ROUTES = {
 
 @pytest.mark.parametrize("family, route", [
     pytest.param("16x3", "gram", marks=ITEM_1),
-    pytest.param("16x3", "oracle", marks=ITEM_1),
-    pytest.param("16x3", "sampler", marks=ITEM_1),
+    ("16x3", "oracle"),
+    ("16x3", "sampler"),
     pytest.param("16x4", "gram", marks=ITEM_1),
-    pytest.param("16x4", "oracle", marks=ITEM_1),
+    ("16x4", "oracle"),
     ("16x4", "sampler"),
     pytest.param("diag-3e-6", "gram", marks=ITEM_1),
     ("diag-3e-6", "oracle"),
     ("diag-3e-6", "sampler"),
-    pytest.param("psd-16x3", "psd", marks=ITEM_1),
-    pytest.param("psd-16x3", "oracle", marks=ITEM_1),
-    pytest.param("psd-16x3", "sampler", marks=ITEM_1),
-    pytest.param("psd-16x3", "single-vector", marks=ITEM_1),
+    ("psd-16x3", "psd"),
+    ("psd-16x3", "oracle"),
+    ("psd-16x3", "sampler"),
+    ("psd-16x3", "single-vector"),
     pytest.param("rotated-16x3", "gram", marks=ITEM_1),
-    pytest.param("rotated-16x3", "oracle", marks=ITEM_1),
-    pytest.param("rotated-16x3", "sampler", marks=ITEM_1),
+    ("rotated-16x3", "oracle"),
+    ("rotated-16x3", "sampler"),
     pytest.param("rotated-16x4", "gram", marks=ITEM_1),
-    pytest.param("rotated-16x4", "oracle", marks=ITEM_1),
+    ("rotated-16x4", "oracle"),
     ("rotated-16x4", "sampler"),
     pytest.param("rotated-diag-3e-6", "gram", marks=ITEM_1),
     ("rotated-diag-3e-6", "oracle"),
@@ -524,10 +523,20 @@ def test_graded_diagonal_families_get_the_sigma_h_rank(family, route):
     assert GRADED_ROUTES[route](build(), ToleranceConfig()).rank == rank
 
 
-# The strictest cutoff on the sigma(H) scale is the gram route's,
-# sigma_i(H) > sqrt(rank_rel_tol * n) * sigma_1(H), as it cuts the eigenvalues of
-# G = H H*. The band reaches BAND times that cutoff; inside it nothing is asserted.
-BAND = 10
+# Each route is held to the closed form only outside a band around its own cutoff.
+# The oracle and the sampler cut sigma(H) at rank_rel_tol * sigma_1(H); their band is
+# [tol / F, F * tol] * sigma_1(H), and the rank is the count of sigma(H) above tol.
+# When they keep every nonzero sigma(H), their spans agree up to rounding over the
+# smallest kept one (Wedin): max(1e-8, ROUNDING * sigma_1 / sigma_r). The gram route
+# cuts the eigenvalues of G = H H*, that is sigma_i(H) at sqrt(rank_rel_tol) *
+# sigma_1(H) (ROADMAP item 1), and is held to the full count when every sigma(H) lies
+# above BAND times that. Forming G squares the condition number, so its span drifts by
+# about eps (sigma_1 / sigma_r)^2; it is held within 1e-8 of the others only where
+# every sigma(H) lies above 10 sqrt(rank_rel_tol n) sigma_1, which keeps that drift
+# under about 2e-8 / n.
+BAND = 3
+F = 10
+ROUNDING = 1e-13
 
 
 @settings(max_examples=200, deadline=None)
@@ -535,11 +544,19 @@ BAND = 10
 def test_routes_get_the_closed_form_rank_outside_the_band(case):
     fam, sigma = case
     cfg = ToleranceConfig()
-    assume(sigma[-1] > BAND * np.sqrt(cfg.rank_rel_tol * fam.n) * sigma[0])
-    spans = [GRADED_ROUTES[route](fam, cfg) for route in ("gram", "oracle", "sampler")]
-    assert [s.rank for s in spans] == [sigma.size] * 3
-    for a, b in itertools.combinations(spans, 2):
-        assert subspace_distance(a, b) <= 1e-8
+    tol, rel = cfg.rank_rel_tol, sigma / sigma[0]
+    spans = []
+    if not np.any((rel > tol / F) & (rel < F * tol)):
+        spans = [GRADED_ROUTES[route](fam, cfg) for route in ("oracle", "sampler")]
+        assert [s.rank for s in spans] == [np.count_nonzero(rel > tol)] * 2
+        if spans[0].rank == sigma.size:
+            assert subspace_distance(*spans) <= max(1e-8, ROUNDING / rel[-1])
+    if rel[-1] > BAND * np.sqrt(tol):
+        gram = hadamard_span(fam, cfg)
+        assert gram.rank == sigma.size
+        if rel[-1] > 10 * np.sqrt(tol * fam.n):
+            for s in spans:
+                assert subspace_distance(gram, s) <= 1e-8
 
 
 def test_single_vector_statement_needs_psd_members():

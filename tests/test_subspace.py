@@ -97,13 +97,13 @@ def test_range_basis_columns_stay_inside():
 
 def test_range_basis_cutoff_recorded():
     s = range_basis(np.eye(3), CFG)
-    assert s.tol_used == pytest.approx(1e-10 * 3)
+    assert s.tol_used == pytest.approx(1e-10)
 
 
 def svd_reference(a, cfg):
     """Rank, cutoff and basis from the thin SVD of A itself."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = cfg.rank_rel_tol * max(a.shape) * s[0]
+    cutoff = cfg.rank_rel_tol * s[0]
     r = int(np.count_nonzero(s > cutoff))
     return r, cutoff, Subspace(u[:, :r], cutoff)
 
@@ -151,8 +151,8 @@ def test_range_basis_wide_matches_direct_svd_in_small_blocks(a, monkeypatch):
 
 @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
 def test_blocked_reduction_keeps_graded_singular_values(rotate, monkeypatch):
-    # H has sigma = logspace(0, -9, 16); the rank under today's cutoff is not
-    # pinned, only that every block size decides it as one block does
+    # H has sigma = logspace(0, -9, 16), all above the cutoff 1e-10 sigma_1, so
+    # every block size gives rank 16
     h = face_split([GRADED] * 3)
     if rotate:
         h = np.linalg.qr(complex_gaussian(np.random.default_rng(16), 16, 16))[0] @ h
@@ -165,7 +165,7 @@ def test_blocked_reduction_keeps_graded_singular_values(rotate, monkeypatch):
     np.testing.assert_allclose(unblocked, np.logspace(0, -9, 16), rtol=0, atol=1e-13)
     for sigma, blocked_rank in found.values():
         np.testing.assert_allclose(sigma, unblocked, rtol=0, atol=1e-13 * unblocked[0])
-        assert blocked_rank == rank
+        assert blocked_rank == rank == 16
 
 
 def test_wide_reduction_makes_no_full_size_copy():
