@@ -20,8 +20,9 @@ import time
 from .errors import BudgetExceededError
 from .instances import (SCHEMA_VERSION, dump_instance, generate_family,
                         load_instance, matrix_to_pairs, write_instance)
-from .spans import (basis_product_oracle, hadamard_span, psd_hadamard_span,
-                    random_sample_span, sample_count)
+from .spans import basis_product_oracle, hadamard_span, random_sample_span, sample_count
+# Not called here; bench/tracing.py patches it in cli until ROADMAP item 4.
+from .spans import psd_hadamard_span  # noqa: F401
 from .subspace import ToleranceConfig, subspace_distance
 from .verify import verify_all
 
@@ -116,18 +117,14 @@ def _report(command: str, family, kind: str, seed: int, payload: dict, started: 
     return out
 
 
-def _span(family, kind, cfg):
-    return psd_hadamard_span(family, cfg) if kind == "psd" else hadamard_span(family, cfg)
-
-
 def _run_span(family, kind, cfg, args):
-    span = _span(family, kind, cfg)
+    span = hadamard_span(family, cfg)
     return EXIT_OK, {"rank": span.rank, "basis": matrix_to_pairs(span.basis),
                      "rank_cutoff": span.tol_used}
 
 
 def _run_compare(family, kind, cfg, args):
-    span = _span(family, kind, cfg)
+    span = hadamard_span(family, cfg)
     if args.mode == "basis":
         samples = None
         oracle = basis_product_oracle(family, cfg)

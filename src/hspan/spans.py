@@ -5,27 +5,28 @@ For square complex matrices B_1 .. B_k, the family of vectors
     (B_1 x_1) o (B_2 x_2) o ... o (B_k x_k),   x_j in C^n,
 
 (o is the entrywise product) spans exactly the column space of the Gram
-matrix product G = (B_1 B_1*) o ... o (B_k B_k*). This module computes that
-span both ways: through G (hadamard_span) and through independent oracles
-that never look at G. The deterministic oracle uses multilinearity, each
-slot's vector x_j can be restricted to basis vectors, so the n^k products of
-column combinations already span the family. It forms all n^k of them as the
-n x n^k face-splitting matrix H, one column slice at a time, and holds only
-the n^k-entry face split of B_1 .. B_(k-1), one slice and the stacked R
-factors of the reduction, never H. The randomized oracle samples Gaussian
-x_j directly.
+matrix product G = (B_1 B_1*) o ... o (B_k B_k*) = H H*, H the n x n^k
+face-splitting matrix. hadamard_span ranks range(H) on the sigma(H) scale,
+certified by G where G can certify it; independent oracles never look at G.
+The deterministic oracle uses multilinearity, each slot's vector x_j can be
+restricted to basis vectors, so the n^k products of column combinations,
+the columns of H, already span the family. It forms all of them, one column
+slice at a time, and holds only the n^k-entry face split of B_1 .. B_(k-1),
+one slice and the stacked R factors of the reduction, never H. The
+randomized oracle samples Gaussian x_j directly.
 
 For positive semidefinite A_1 .. A_k there are two tighter statements: the
 span of (A_1 x_1) o ... o (A_k x_k) is range(A_1 o ... o A_k)
-(psd_hadamard_span, reachable from the general result with any B_i such
-that B_i B_i* = A_i), and even a single shared vector x in every slot
-suffices (single_vector_sample_span samples that thinner family). psd_sqrt
-holds the Hermitian/PSD acceptance rule and returns such a factor; a
-PsdFamily applies it once per member, at construction, and keeps the factors.
+(psd_hadamard_span), and even a single shared vector x in every slot
+suffices (single_vector_sample_span samples that thinner family). Every
+other route reads a PsdFamily as the general family B_j = A_j. psd_sqrt
+holds the Hermitian/PSD acceptance rule; a PsdFamily applies it to each
+member at construction.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -36,6 +37,7 @@ from .rng import STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian, seed_children
 from .subspace import Subspace, ToleranceConfig, as_matrix, range_basis
 
 PSD_REL_TOL = 1e-10
+EPS = float(np.finfo(np.float64).eps)
 # Largest n^k the oracle takes. It forms all n^k columns of H but holds
 # only the n^k-entry prefix p, one column slice and the stacked R factors.
 ORACLE_COLUMN_BUDGET = 65536
@@ -75,15 +77,14 @@ class MatrixFamily:
 class PsdFamily(MatrixFamily):
     """A family whose members must be Hermitian positive semidefinite.
 
-    Each member A_i passes psd_sqrt's rule once, at construction, and its
-    factor is kept: `roots` is the MatrixFamily of the B_i = psd_sqrt(A_i),
-    square and not Hermitian, with B_i B_i* = A_i.
+    Each member A_i passes psd_sqrt's rule once, at construction. Every
+    route reads the family as the general family B_i = A_i.
     """
 
     def __init__(self, matrices):
         super().__init__(matrices)
-        self.roots = MatrixFamily([psd_sqrt(a, name=f"matrix {i + 1}")
-                                   for i, a in enumerate(self)])
+        for i, a in enumerate(self):
+            psd_sqrt(a, name=f"matrix {i + 1}")
 
 
 def _require_finite(p: np.ndarray, what: str) -> np.ndarray:
@@ -128,8 +129,8 @@ def gram_hadamard(family: MatrixFamily) -> np.ndarray:
 
 
 def hadamard_span(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace:
-    """Span of the Hadamard-product family, computed as range(G)."""
-    return range_basis(gram_hadamard(family), cfg)
+    """Span of the Hadamard-product family: range(H), certified by G = H H*."""
+    return _certified_span(family, gram_hadamard(family), cfg)
 
 
 def _face_split(mats) -> np.ndarray:
@@ -194,6 +195,35 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace
     require_budget(family.n ** family.k, ORACLE_COLUMN_BUDGET, "oracle needs n^k", "columns")
     _require_normal(family, "the face-splitting product of B_1 .. B_k")
     return range_basis(_FaceSplit(list(family)), cfg)
+
+
+def _thin_factor(b: np.ndarray) -> tuple[np.ndarray, float]:
+    """(U S, ||B||_2) from the SVD of B's nonzero columns, without singular
+    values <= n eps ||B||_2: (U S)(U S)* = B B* up to rounding."""
+    u, s, _ = np.linalg.svd(b[:, b.any(axis=0)], full_matrices=False)
+    r = np.count_nonzero(s > len(b) * EPS * s.max(initial=0.0))
+    return u[:, :r] * s[:r], float(s.max(initial=0.0))
+
+
+def _certified_span(family: MatrixFamily, g: np.ndarray, cfg: ToleranceConfig) -> Subspace:
+    """range(H), with g = G = H H*, ranked at tol = rank_rel_tol on the sigma(H) scale.
+
+    If eigh(G) gives w_min > max(10 n eps, tol^2) w_max, every sigma(H)^2 lies
+    above rounding and the cutoff: rank n, G's eigenvectors, cutoff tol sqrt(w_max).
+    G certifies nothing less, as forming it squares the condition number. Else
+    range_basis reduces the face split of the members' thin factors, whose Gram
+    product is G, at max(tol sigma_1, 10 n eps prod_j ||B_j||_2): the floor keeps
+    their rounding out of an exactly zero H. Past ORACLE_COLUMN_BUDGET it refuses.
+    """
+    n = len(g)
+    w, v = np.linalg.eigh(g)
+    if n and w[0] > max(10 * n * EPS, cfg.rank_rel_tol ** 2) * w[-1]:
+        return Subspace(v[:, ::-1], cfg.rank_rel_tol * math.sqrt(w[-1]))
+    thin, norms = zip(*map(_thin_factor, family))
+    require_budget(math.prod(f.shape[1] for f in thin), ORACLE_COLUMN_BUDGET,
+                   "thin factors need prod r_j", "columns")
+    floor = _require_finite(10 * n * EPS * math.prod(norms), "prod_j ||B_j||_2")
+    return range_basis(_FaceSplit(list(thin)), cfg, floor=floor)
 
 
 def sample_count(n: int) -> int:
@@ -268,7 +298,7 @@ def psd_sqrt(a: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def psd_hadamard_span(family: PsdFamily, cfg: ToleranceConfig) -> Subspace:
-    """Span of the PSD-family products, computed as range(A_1 o ... o A_k)."""
+    """range(A_1 o ... o A_k), the PSD statement's span; verify holds it to hadamard_span."""
     if not isinstance(family, PsdFamily):
         raise NotPsdError("psd_hadamard_span needs a PsdFamily")
     what = "the product A_1 o ... o A_k"

@@ -112,8 +112,8 @@ def _wide_factor(a: np.ndarray) -> np.ndarray:
     return (r if len(windows) == 1 else np.linalg.qr(r, mode="r")).T
 
 
-def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
-    """Orthonormal basis of range(A), keeping singular values above rank_rel_tol * sigma_1.
+def range_basis(a: np.ndarray, cfg: ToleranceConfig, floor: float = 0.0) -> Subspace:
+    """Orthonormal basis of range(A): singular values above max(rank_rel_tol sigma_1, floor).
 
     A wide A is rank-revealed through R^T, where A^T = Q R: A = R^T Q^T and
     Q^T has orthonormal rows, so A and the n x n matrix R^T share singular
@@ -128,7 +128,7 @@ def range_basis(a: np.ndarray, cfg: ToleranceConfig) -> Subspace:
         a = as_matrix(a, "A")  # a wide A is coerced one slice at a time
     n, cols = a.shape
     u, s, _ = np.linalg.svd(_wide_factor(a) if cols > n else a, full_matrices=False)
-    cutoff = cfg.rank_rel_tol * (s[0] if s.size else 0.0)
+    cutoff = max(cfg.rank_rel_tol * (s[0] if s.size else 0.0), floor)
     r = int(np.count_nonzero(s > cutoff))
     return Subspace(u[:, :r], cutoff)
 

@@ -43,8 +43,7 @@ u[p] * v[q]. The tensor witness and the checks on it are limited to
 n^(k+1) <= TENSOR_ENTRY_BUDGET entries. The checks stream T, but keep the
 rule, so that the same families skip them.
 
-Every function here reads a PsdFamily through its `roots`, the factors
-B_i with B_i B_i* = A_i, for which every identity holds.
+Q is hadamard_span's basis. A PsdFamily is read as the general family B_i = A_i.
 """
 
 from __future__ import annotations
@@ -56,12 +55,13 @@ import numpy as np
 
 from .errors import DimensionError, int_text, require_budget
 from .rng import STREAM_ORTHO, STREAM_PAIRING
-from .spans import (MatrixFamily, PsdFamily, _draw_stack, _face_split, _FaceSplit, _members,
-                    _require_draw_budget, _require_finite, gram_hadamard, psd_hadamard_span)
-# Not called here; bench/tracing.py patches them in verify until ROADMAP item 4.
-from .spans import complex_gaussian, psd_sqrt, seed_children  # noqa: F401
+from .spans import (MatrixFamily, PsdFamily, _certified_span, _draw_stack, _face_split,
+                    _FaceSplit, _members, _require_draw_budget, _require_finite,
+                    gram_hadamard, psd_hadamard_span)
 from .subspace import (ToleranceConfig, _column_windows, as_matrix,
-                       complement_projector, range_basis, subspace_distance)
+                       complement_projector, subspace_distance)
+# Not called here; bench/tracing.py patches them in verify until ROADMAP item 4.
+from .spans import complex_gaussian, psd_sqrt, range_basis, seed_children  # noqa: F401
 
 COLUMN_IDENTITY_TOL = 1e-13
 PAIRING_TOL = 1e-12
@@ -72,15 +72,11 @@ SPAN_DISTANCE_TOL = 1e-8
 TENSOR_ENTRY_BUDGET = 1_000_000
 
 
-def _factors(family: MatrixFamily) -> MatrixFamily:
-    return family.roots if isinstance(family, PsdFamily) else family
-
-
 def family_scale(family: MatrixFamily) -> float:
-    """prod_i ||B_i||_F, over a PsdFamily's roots: the family's magnitude. A
-    family whose scale^2, the norm-trace tolerance's unit, overflows is rejected."""
+    """prod_i ||B_i||_F: the family's magnitude. A family whose scale^2, the
+    norm-trace tolerance's unit, overflows is rejected."""
     with np.errstate(over="ignore"):
-        scale = float(np.prod([np.linalg.norm(b) for b in _factors(family)]))
+        scale = float(np.prod([np.linalg.norm(b) for b in family]))
     _require_finite(scale * scale, "(prod_i ||B_i||_F)^2")
     return scale
 
@@ -120,7 +116,6 @@ def column_identity_residual(family: MatrixFamily) -> float:
     rebuilds each column from per-matrix matvecs on B_j* e_i = conj(B_j[i, :])
     and never forms a Gram matrix.
     """
-    family = _factors(family)
     return _column_identity(family, gram_hadamard(family))
 
 
@@ -135,12 +130,11 @@ def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
 
 
 def _complement(family: MatrixFamily, cfg: ToleranceConfig):
-    """(B, G, range(G), E): the factors B_i the checks run on (a PsdFamily's
-    roots), their Gram matrix, its range under cfg's rank policy, and the
-    projector onto the orthogonal complement of that range."""
-    g = gram_hadamard(bfam := _factors(family))
-    span = range_basis(g, cfg)
-    return bfam, g, span, complement_projector(span)
+    """(G, range(G), E): the Gram matrix, its range as hadamard_span
+    decides it, and the projector onto that range's orthogonal complement."""
+    g = gram_hadamard(family)
+    span = _certified_span(family, g, cfg)
+    return g, span, complement_projector(span)
 
 
 def _tensor_from(family: MatrixFamily, e: np.ndarray) -> np.ndarray:
@@ -168,8 +162,7 @@ def tensor_witness(family: MatrixFamily, cfg: ToleranceConfig) -> np.ndarray:
     verify_all) never hold it: they stream it one window of rows at a time.
     """
     _require_tensor_budget(family)
-    bfam, _, _, e = _complement(family, cfg)
-    return _tensor_from(bfam, e)
+    return _tensor_from(family, _complement(family, cfg)[2])
 
 
 def _tensor_sides(family: MatrixFamily, e: np.ndarray, xs, y) -> tuple[float, np.ndarray]:
@@ -201,9 +194,9 @@ def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig) -> tuple[flo
     trace side is a plain matrix product, no tensor involved.
     """
     _require_tensor_budget(family)
-    bfam, g, _, e = _complement(family, cfg)
+    g, _, e = _complement(family, cfg)
     empty = np.empty((family.n, 0))
-    return _tensor_sides(bfam, e, [empty] * family.k, empty)[0], complex(np.trace(e @ g))
+    return _tensor_sides(family, e, [empty] * family.k, empty)[0], complex(np.trace(e @ g))
 
 
 def _family_pairing(family, xs, y, e, scale) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +232,7 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
     if y.shape != (family.n,):
         raise DimensionError(f"y has shape {y.shape}, expected ({family.n},)")
     _require_tensor_budget(family)
-    family, _, _, e = _complement(family, cfg)
+    e = _complement(family, cfg)[2]
     scale = family_scale(family)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = scale * np.prod([np.linalg.norm(x) for x in xs]) * np.linalg.norm(y)
@@ -268,7 +261,7 @@ def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {int_text(trials)}")
     _require_draw_budget((family.k + 1) * family.n, trials)
-    family, _, _, e = _complement(family, cfg)
+    e = _complement(family, cfg)[2]
     return _orthogonality_residuals(family, trials, cfg, e, family_scale(family))
 
 
@@ -276,9 +269,9 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
                pairing_trials: int = 10, orthogonality_trials: int = 50) -> VerificationReport:
     """Run every identity check on one family and aggregate a report.
 
-    As everywhere in this module, the checks on a PsdFamily run on its roots;
-    the report then also records the distance between range(A_1 o ... o A_k)
-    and the roots' span, which the PSD specialization asserts is zero.
+    For a PsdFamily the report also records the distance between range(A_1
+    o ... o A_k) and the span of its members' products, which the PSD
+    specialization asserts is zero.
     """
     if pairing_trials < 0:
         raise ValueError(f"pairing_trials must be >= 0, got {int_text(pairing_trials)}")
@@ -289,21 +282,21 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
     _require_draw_budget((k + 1) * n, orthogonality_trials)
     if with_tensor:  # the n^k term keeps refusing the same inputs until ROADMAP item 7
         _require_draw_budget((k + 1) * n + n ** k, pairing_trials)
+    g, span, e = _complement(family, cfg)  # rejects entries whose G overflows
     product_span = psd_hadamard_span(family, cfg) if isinstance(family, PsdFamily) else None
-    bfam, g, span, e = _complement(family, cfg)  # rejects entries whose G overflows
-    scale = family_scale(bfam)
+    scale = family_scale(family)
 
     checks: dict[str, bool] = {}
     skipped: list[str] = []
 
-    column_res = _column_identity(bfam, g)
+    column_res = _column_identity(family, g)
     checks["column_identity"] = column_res <= COLUMN_IDENTITY_TOL
 
     tensor_norm_sq = trace_eg = norm_trace_gap = None
     pairing_residuals: list[float] = []
     if with_tensor:
         *xs, y = _draw_stack(cfg.seed, STREAM_PAIRING, k + 1, n, pairing_trials)
-        tensor_norm_sq, paired = _tensor_sides(bfam, e, xs, y)
+        tensor_norm_sq, paired = _tensor_sides(family, e, xs, y)
         trace_eg = complex(np.trace(e @ g))
         norm_trace_gap = abs(tensor_norm_sq - trace_eg.real)
         s2 = scale * scale
@@ -311,13 +304,13 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
                                 and tensor_norm_sq <= NORM_TRACE_TOL * s2
                                 and abs(trace_eg.real) <= NORM_TRACE_TOL * s2
                                 and abs(trace_eg.imag) <= NORM_TRACE_IMAG_TOL * s2)
-        pairing_residuals = _pairing_residual(bfam, xs, y, e, paired, scale).tolist()
+        pairing_residuals = _pairing_residual(family, xs, y, e, paired, scale).tolist()
         checks["pairing"] = max(pairing_residuals, default=0.0) <= PAIRING_TOL
     else:
         skipped.extend(["norm_trace", "pairing"])
 
     orthogonality_residuals = _orthogonality_residuals(
-        bfam, orthogonality_trials, cfg, e, scale)
+        family, orthogonality_trials, cfg, e, scale)
     checks["orthogonality"] = max(orthogonality_residuals) <= ORTHOGONALITY_TOL
 
     psd_distance = None

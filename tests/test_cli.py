@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import families
 import hspan.cli as cli
 from hspan import MatrixFamily, generate_family, instance_dict, load_instance, write_instance
 from hspan.spans import DRAW_ENTRY_BUDGET
@@ -92,15 +93,20 @@ def test_span_psd_uses_product_range(tmp_path):
 
 @pytest.mark.parametrize("kind", ["general", "psd"])
 def test_span_rank_cutoff_is_rank_tol_times_sigma_1(tmp_path, kind):
-    # the route reduces G = (B_1 B_1*) o ... o (B_k B_k*), or P = A_1 o ... o A_k
-    path = tmp_path / f"{kind}.json"
-    assert run_cli("gen", 5, 3, "--kind", kind, "--seed", 3, "--out", path)[0] == 0
-    fam, _ = load_instance(path)
-    reduced = np.prod(list(fam) if kind == "psd" else [b @ b.conj().T for b in fam], axis=0)
-    code, out, _ = run_cli("span", path, "--rank-tol", 1e-6)
-    assert code == 0
-    assert reports(out)[0]["rank_cutoff"] == pytest.approx(1e-6 * np.linalg.norm(reduced, 2),
-                                                           rel=1e-12)
+    # sigma_1 of H, the face split of the members (a psd file's A_j): full-rank members,
+    # whose G = H H* certifies rank n, and members of rank 2, whose H has rank 4 and is
+    # rank-revealed through their thin factors, far above the floor 10 n eps prod ||B_j||_2
+    for deficit, rank in ((0, 6), (4, 4)):
+        path = tmp_path / f"{kind}-{deficit}.json"
+        argv = ("gen", 6, 2, "--kind", kind, "--rank-deficit", deficit, "--seed", 3)
+        assert run_cli(*argv, "--out", path)[0] == 0
+        fam, _ = load_instance(path)
+        sigma_1 = np.linalg.norm(families.face_split(list(fam)), 2)
+        code, out, _ = run_cli("span", path, "--rank-tol", 1e-6)
+        assert code == 0
+        (rep,) = reports(out)
+        assert rep["rank"] == rank
+        assert rep["rank_cutoff"] == pytest.approx(1e-6 * sigma_1, rel=1e-12)
 
 
 def test_compare_basis_mode_passes(instance):
@@ -128,6 +134,23 @@ def test_compare_undersampled_exits_one(instance):
     (rep,) = reports(out)
     assert rep["oracle_rank"] == 1
     assert rep["match"] is False
+
+
+def test_compare_matches_on_a_well_posed_graded_file(tmp_path):
+    # rotated members graded over 1.4 decades each, in independent orders, two rows of
+    # B_1 zeroed: rank 26, sigma_26 / sigma_1 = 2.7e-5, sigma_27 = 0. A span taken from
+    # G's singular vectors drifts by about eps (sigma_1 / sigma_26)^2, and lay 1.8e-7 away
+    rng = np.random.default_rng(14)
+    d = np.logspace(0, -2.8, 28)
+    d1, d2 = d[rng.permutation(28)], d[rng.permutation(28)]
+    d1[rng.choice(28, 2, replace=False)] = 0.0
+    path = tmp_path / "rotated.json"
+    write_instance(path, families.rotated([d1, d2], seed=14), "general")
+    for mode in ("basis", "random"):
+        code, out, err = run_cli("compare", path, "--mode", mode)
+        assert (code, err) == (0, "")
+        (rep,) = reports(out)
+        assert rep["span_rank"] == rep["oracle_rank"] == 26
 
 
 def test_compare_budget_exit(tmp_path):
@@ -215,33 +238,30 @@ def test_overflowing_verification_scale_exits_two(tmp_path):
                    "(prod_i ||B_i||_F)^2 overflows\n")
 
 
-@pytest.mark.parametrize("mode, product", [
-    ("basis", "the face-splitting product of B_1 .. B_k"),
-    ("random", "the sampled product (B_1 x_1) o ... o (B_k x_k)"),
-])
-def test_overflowing_oracle_products_exit_two(tmp_path, mode, product):
-    # the psd product A_1 o ... o A_4 is finite, so span succeeds; the oracle
-    # and sampler products reach 1e315
-    a2 = np.array([[1e-40, 1e55], [1e55, 1e150]])
-    path = tmp_path / "overflow.json"
-    write_instance(path, MatrixFamily([np.diag([1e150, 1e-150]), a2, a2, a2]), "psd")
-    assert run_cli("span", path)[0] == 0
-    code, out, err = run_cli("compare", "--mode", mode, path)
-    assert code == 2
-    assert out == ""
-    assert err == f"hspan compare: {path}: matrix entries too large: {product} overflows\n"
-
-
 CLI_COMMANDS = (("span",), ("compare", "--mode", "basis"), ("compare", "--mode", "random"),
                 ("verify",))
 
 
+def test_overflowing_psd_gram_product_exits_two(tmp_path):
+    # the psd product A_1 o ... o A_4 is finite, but a psd file is read as B_j = A_j,
+    # whose Gram product A_1^2 o ... o A_4^2 squares the entries: every command refuses
+    a2 = np.array([[1e-40, 1e55], [1e55, 1e150]])
+    path = tmp_path / "overflow.json"
+    write_instance(path, MatrixFamily([np.diag([1e150, 1e-150]), a2, a2, a2]), "psd")
+    for argv in CLI_COMMANDS:
+        code, out, err = run_cli(*argv, path)
+        assert (code, out) == (2, "")
+        assert err == (f"hspan {argv[0]}: {path}: matrix entries too large: "
+                       "the Gram product (B_1 B_1*) o ... o (B_k B_k*) overflows\n")
+
+
 def test_underflowing_products_exit_two(tmp_path):
-    # the true rank is 3 (2 for "rows"); a product, or a factor or partial product of it, underflows
+    # the true rank is 3 (2 for "rows"); a product, or a factor or partial product of it,
+    # underflows; a psd file is read as B_j = A_j, so its Gram product is refused too
     gram = "the Gram product (B_1 B_1*) o ... o (B_k B_k*)"
     cases = [("1e-110x3", [1e-110 * np.eye(3)] * 3, "general", gram),
              ("1e-160x2", [1e-160 * np.eye(3)] * 2, "general", gram),
-             ("psd-1e-300x2", [1e-300 * np.eye(3)] * 2, "psd", "the product A_1 o ... o A_k"),
+             ("psd-1e-300x2", [1e-300 * np.eye(3)] * 2, "psd", gram),
              ("partial", [1e-90 * np.eye(3), 1e-90 * np.eye(3), 1e60 * np.eye(3)], "general", gram),
              ("factor", [1e60 * np.eye(3), 1e-170 * np.eye(3)], "general", gram),
              ("rows", [np.diag([1.0, 1e-170]), np.diag([1e-170, 1.0])], "general", gram),

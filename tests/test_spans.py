@@ -1,9 +1,10 @@
+import itertools
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import families
 import hspan.spans
@@ -73,11 +74,15 @@ def test_psd_family_rejects_indefinite():
         PsdFamily([-np.eye(3)])
 
 
-def test_psd_family_roots_are_psd_sqrt_of_members():
-    pf = gaussian_psd(5, 3, [2, 5, 3], 5)
-    assert isinstance(pf.roots, MatrixFamily) and (pf.roots.n, pf.roots.k) == (5, 3)
-    for a, root in zip(pf, pf.roots):
-        assert np.array_equal(root.view(np.uint64), psd_sqrt(a).view(np.uint64))
+def test_psd_family_is_read_as_the_general_family_of_its_members():
+    # the members are kept as given, and every route reads them as B_j = A_j
+    mats = [np.array(a) for a in gaussian_psd(5, 3, [2, 5, 3], 5)]
+    pf, general = PsdFamily(mats), MatrixFamily(mats)
+    assert all(np.array_equal(a.view(np.uint64), m.view(np.uint64)) for a, m in zip(pf, mats))
+    for route in (hadamard_span, basis_product_oracle,
+                  lambda f, cfg: random_sample_span(f, sample_count(f.n), cfg)):
+        assert np.array_equal(route(pf, CFG).basis.view(np.uint64),
+                              route(general, CFG).basis.view(np.uint64))
 
 
 def test_psd_family_decomposes_each_member_once(monkeypatch):
@@ -94,8 +99,10 @@ def test_psd_family_decomposes_each_member_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
-    assert verify_all(PsdFamily(mats), CFG).passed
-    assert calls == {"eigh": 3, "eigvalsh": 0}
+    pf = PsdFamily(mats)
+    assert calls == {"eigh": 3, "eigvalsh": 0}  # psd_sqrt's rule, once per member
+    assert verify_all(pf, CFG).passed
+    assert calls == {"eigh": 4, "eigvalsh": 0}  # and one of G, which certifies the rank
 
 
 def _band_edge(kind: str, c: float) -> np.ndarray:
@@ -215,6 +222,17 @@ def test_oracle_budget(monkeypatch):
     monkeypatch.setattr(hspan.spans, "ORACLE_COLUMN_BUDGET", 10)
     with pytest.raises(BudgetExceededError):
         basis_product_oracle(small, CFG)
+
+
+def test_rank_decision_refuses_too_many_thin_columns():
+    # B_1's zero row gives G a zero row, so G cannot certify rank 3, and the thin
+    # factors have 2 * 3^10 columns: the decision refuses rather than rank G itself
+    mats = [np.array(b) for b in gaussian_family(3, 11, 6)]
+    mats[0][0] = 0.0
+    for route in (hadamard_span, verify_all):
+        with pytest.raises(BudgetExceededError, match=r"^thin factors need prod r_j = 118098 "
+                                                      r"columns, budget is 65536$"):
+            route(MatrixFamily(mats), CFG)
 
 
 def test_huge_sizes_are_refused_in_one_short_message():
@@ -413,7 +431,7 @@ def test_underflowing_products_are_refused(fam, monkeypatch):
     psd = isinstance(fam, PsdFamily)
     routes = [(hadamard_span, GRAM_PRODUCT), (basis_product_oracle, FACE_SPLIT),
               (lambda f, cfg: random_sample_span(f, 8, cfg), SAMPLED),
-              (verify_all, PSD_PRODUCT if psd else GRAM_PRODUCT)]
+              (verify_all, GRAM_PRODUCT)]
     if psd:
         routes += [(psd_hadamard_span, PSD_PRODUCT), (single_vector_sample_span, SAMPLED)]
     for route, what in routes:
@@ -457,10 +475,6 @@ def test_products_that_do_not_underflow_keep_their_rank(members, rank):
     assert verify_all(fam, CFG).passed
 
 
-ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the gram route cuts G's "
-                                             "eigenvalues, on the sigma(H)^2 scale")
-
-
 # name: (family, rank). For diagonal D_j (the A_j of a psd family) and their right-rotated
 # twins D_j U_j, sigma(H)_i = prod_j |d_j[i]|, and the rank counts those above
 # rank_rel_tol * sigma_1(H). A low-rank family's G has rank min(n, prod_j r_j).
@@ -486,26 +500,26 @@ GRADED_ROUTES = {
 
 
 @pytest.mark.parametrize("family, route", [
-    pytest.param("16x3", "gram", marks=ITEM_1),
+    ("16x3", "gram"),
     ("16x3", "oracle"),
     ("16x3", "sampler"),
-    pytest.param("16x4", "gram", marks=ITEM_1),
+    ("16x4", "gram"),
     ("16x4", "oracle"),
     ("16x4", "sampler"),
-    pytest.param("diag-3e-6", "gram", marks=ITEM_1),
+    ("diag-3e-6", "gram"),
     ("diag-3e-6", "oracle"),
     ("diag-3e-6", "sampler"),
     ("psd-16x3", "psd"),
     ("psd-16x3", "oracle"),
     ("psd-16x3", "sampler"),
     ("psd-16x3", "single-vector"),
-    pytest.param("rotated-16x3", "gram", marks=ITEM_1),
+    ("rotated-16x3", "gram"),
     ("rotated-16x3", "oracle"),
     ("rotated-16x3", "sampler"),
-    pytest.param("rotated-16x4", "gram", marks=ITEM_1),
+    ("rotated-16x4", "gram"),
     ("rotated-16x4", "oracle"),
     ("rotated-16x4", "sampler"),
-    pytest.param("rotated-diag-3e-6", "gram", marks=ITEM_1),
+    ("rotated-diag-3e-6", "gram"),
     ("rotated-diag-3e-6", "oracle"),
     ("rotated-diag-3e-6", "sampler"),
     ("low-rank-16x2", "gram"),
@@ -523,40 +537,29 @@ def test_graded_diagonal_families_get_the_sigma_h_rank(family, route):
     assert GRADED_ROUTES[route](build(), ToleranceConfig()).rank == rank
 
 
-# Each route is held to the closed form only outside a band around its own cutoff.
-# The oracle and the sampler cut sigma(H) at rank_rel_tol * sigma_1(H); their band is
+# Each route is held to the closed form only outside a band around its cutoff. Every
+# route ranks sigma(H) at rank_rel_tol * sigma_1(H), so the band is
 # [tol / F, F * tol] * sigma_1(H), and the rank is the count of sigma(H) above tol.
 # When they keep every nonzero sigma(H), their spans agree up to rounding over the
-# smallest kept one (Wedin): max(1e-8, ROUNDING * sigma_1 / sigma_r). The gram route
-# cuts the eigenvalues of G = H H*, that is sigma_i(H) at sqrt(rank_rel_tol) *
-# sigma_1(H) (ROADMAP item 1), and is held to the full count when every sigma(H) lies
-# above BAND times that. Forming G squares the condition number, so its span drifts by
-# about eps (sigma_1 / sigma_r)^2; it is held within 1e-8 of the others only where
-# every sigma(H) lies above 10 sqrt(rank_rel_tol n) sigma_1, which keeps that drift
-# under about 2e-8 / n.
-BAND = 3
+# smallest kept one (Wedin): max(1e-8, ROUNDING * sigma_1 / sigma_r).
 F = 10
 ROUNDING = 1e-13
 
 
 @settings(max_examples=200, deadline=None)
 @given(families.closed_form_families())
+@example((families.rotated([[1.0, 1e-5]], seed=0), np.array([1.0, 1e-5])))
 def test_routes_get_the_closed_form_rank_outside_the_band(case):
     fam, sigma = case
     cfg = ToleranceConfig()
     tol, rel = cfg.rank_rel_tol, sigma / sigma[0]
-    spans = []
-    if not np.any((rel > tol / F) & (rel < F * tol)):
-        spans = [GRADED_ROUTES[route](fam, cfg) for route in ("oracle", "sampler")]
-        assert [s.rank for s in spans] == [np.count_nonzero(rel > tol)] * 2
-        if spans[0].rank == sigma.size:
-            assert subspace_distance(*spans) <= max(1e-8, ROUNDING / rel[-1])
-    if rel[-1] > BAND * np.sqrt(tol):
-        gram = hadamard_span(fam, cfg)
-        assert gram.rank == sigma.size
-        if rel[-1] > 10 * np.sqrt(tol * fam.n):
-            for s in spans:
-                assert subspace_distance(gram, s) <= 1e-8
+    if np.any((rel > tol / F) & (rel < F * tol)):
+        return
+    spans = [GRADED_ROUTES[route](fam, cfg) for route in ("gram", "oracle", "sampler")]
+    assert [s.rank for s in spans] == [np.count_nonzero(rel > tol)] * 3
+    if spans[0].rank == sigma.size:
+        for a, b in itertools.combinations(spans, 2):
+            assert subspace_distance(a, b) <= max(1e-8, ROUNDING / rel[-1])
 
 
 def test_single_vector_statement_needs_psd_members():

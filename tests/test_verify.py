@@ -14,7 +14,7 @@ from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    PsdFamily, ToleranceConfig, column_identity_residual,
                    complement_projector, family_scale, gram_hadamard,
                    norm_trace_identity, orthogonality_check,
-                   pairing_identity_residual, psd_sqrt, range_basis,
+                   pairing_identity_residual, range_basis,
                    tensor_witness, verify_all)
 from hspan.rng import (STREAM_ORTHO, STREAM_PAIRING, complex_gaussian,
                        seed_children)
@@ -391,8 +391,8 @@ def bits(x):
 @pytest.mark.parametrize("fam", list(agreement_cases()))
 def test_verify_all_agrees_with_identity_functions(fam):
     rep = verify_all(fam, CFG)
-    # every public function reads a PsdFamily through its roots, bit for bit
-    roots = fam.roots if isinstance(fam, PsdFamily) else fam
+    # every public function reads a PsdFamily as the general family of its members, bit for bit
+    general = MatrixFamily(list(fam))
     vecs = complex_gaussian(np.random.default_rng(95), fam.k + 1, fam.n)
     calls = [family_scale, column_identity_residual, lambda f: orthogonality_check(f, 50, CFG)]
     with_tensor = fam.n ** (fam.k + 1) <= hv.TENSOR_ENTRY_BUDGET
@@ -400,21 +400,19 @@ def test_verify_all_agrees_with_identity_functions(fam):
         calls += [lambda f: tensor_witness(f, CFG), lambda f: norm_trace_identity(f, CFG),
                   lambda f: pairing_identity_residual(f, vecs[:-1], vecs[-1], CFG)]
     for call in calls:
-        assert np.array_equal(bits(call(fam)), bits(call(roots)))
+        assert np.array_equal(bits(call(fam)), bits(call(general)))
     assert list(rep.orthogonality_residuals) == orthogonality_check(fam, 50, CFG)
     if not with_tensor:
         assert rep.skipped == ("norm_trace", "pairing")
         return
     assert (rep.tensor_norm_sq, rep.trace_eg) == norm_trace_identity(fam, CFG)
-    if isinstance(fam, PsdFamily):  # the private helpers take the square-root family
-        fam = MatrixFamily([psd_sqrt(a) for a in fam])
     # trial i draws x_1 .. x_k and then y, after trial i - 1, from one generator
     # seeded by the first pairing child seed; the stacks keep the draws' sample-major
     # layout, as BLAS may round a product of a transposed copy differently
     rng = np.random.default_rng(seed_children(CFG.seed, STREAM_PAIRING, 1)[0])
     draws = [[complex_gaussian(rng, fam.n) for _ in range(fam.k + 1)] for _ in range(10)]
     *xs, y = np.array(draws).transpose(1, 2, 0)
-    _, _, _, e = hv._complement(fam, CFG)
+    _, _, e = hv._complement(fam, CFG)
     paired = hv._tensor_sides(fam, e, xs, y)[1]
     expected = hv._pairing_residual(fam, xs, y, e, paired, family_scale(fam))
     assert list(rep.pairing_residuals) == expected.tolist()
@@ -435,8 +433,6 @@ def batching_cases():
 def test_batched_trials_match_per_trial_reference(fam, pairing_trials):
     # every trial recomputed alone: k matvecs, one np.vdot, one np.kron
     rep = verify_all(fam, CFG, pairing_trials=pairing_trials, orthogonality_trials=20)
-    if isinstance(fam, PsdFamily):
-        fam = MatrixFamily([psd_sqrt(a) for a in fam])
     e = complement_projector(range_basis(gram_hadamard(fam), CFG))
     t = kron_sum_tensor(fam, e)
     scale = float(np.prod([np.linalg.norm(b) for b in fam]))
