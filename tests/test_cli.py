@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 import families
 import hspan.cli as cli
-from hspan import MatrixFamily, generate_family, instance_dict, load_instance, write_instance
+from hspan import (MatrixFamily, Subspace, generate_family, instance_dict, load_instance,
+                   write_instance)
 from hspan.spans import DRAW_ENTRY_BUDGET
 
 
@@ -236,6 +237,24 @@ def test_overflowing_verification_scale_exits_two(tmp_path):
     assert out == ""
     assert err == (f"hspan verify: {path}: matrix entries too large: "
                    "(prod_i ||B_i||_F)^2 overflows\n")
+
+
+@pytest.mark.parametrize("mode, product", [
+    ("basis", "the face-splitting product of B_1 .. B_k"),
+    ("random", "the sampled product (B_1 x_1) o ... o (B_k x_k)"),
+])
+def test_overflowing_oracle_products_exit_two(tmp_path, monkeypatch, capsys, mode, product):
+    # a finite G bounds every entry of H, so on a file the span refuses first
+    # (test_overflowing_psd_gram_product_exits_two); with the span stubbed, compare
+    # reports the oracle's and the sampler's own overflow: their products reach 1e315
+    a2 = np.array([[1e-40, 1e55], [1e55, 1e150]])
+    path = tmp_path / "overflow.json"
+    write_instance(path, MatrixFamily([np.diag([1e150, 1e-150]), a2, a2, a2]), "psd")
+    monkeypatch.setattr(cli, "hadamard_span", lambda family, cfg: Subspace(np.eye(family.n)))
+    assert cli.main(["compare", "--mode", mode, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"hspan compare: {path}: matrix entries too large: {product} overflows\n"
 
 
 CLI_COMMANDS = (("span",), ("compare", "--mode", "basis"), ("compare", "--mode", "random"),
