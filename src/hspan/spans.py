@@ -19,14 +19,12 @@ For positive semidefinite A_1 .. A_k there are two tighter statements: the
 span of (A_1 x_1) o ... o (A_k x_k) is range(A_1 o ... o A_k)
 (psd_hadamard_span), and even a single shared vector x in every slot
 suffices (single_vector_sample_span samples that thinner family). Every
-other route reads a PsdFamily as the general family B_j = A_j. psd_sqrt
-holds the Hermitian/PSD acceptance rule; a PsdFamily applies it to each
-member at construction.
+other route reads a PsdFamily as the general family B_j = A_j. A PsdFamily
+applies psd_sqrt's Hermitian/PSD acceptance rule to each member.
 """
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 
 import numpy as np
@@ -34,7 +32,7 @@ import numpy as np
 from .errors import (DimensionError, NotHermitianError, NotPsdError, int_text, require_budget,
                      size_text)
 from .rng import STREAM_SAMPLE, STREAM_SINGLE, complex_gaussian, seed_children
-from .subspace import Subspace, ToleranceConfig, as_matrix, range_basis
+from .subspace import Subspace, ToleranceConfig, _wide_factor, as_matrix, range_basis
 
 PSD_REL_TOL = 1e-10
 EPS = float(np.finfo(np.float64).eps)
@@ -77,9 +75,8 @@ class MatrixFamily:
 class PsdFamily(MatrixFamily):
     """A family whose members must be Hermitian positive semidefinite.
 
-    Each member A_i passes psd_sqrt's rule once, at construction. Every
-    route reads the family as the general family B_i = A_i.
-    """
+    Each member A_i passes psd_sqrt's rule once, at construction; the family
+    is read as the general family B_i = A_i."""
 
     def __init__(self, matrices):
         super().__init__(matrices)
@@ -197,33 +194,37 @@ def basis_product_oracle(family: MatrixFamily, cfg: ToleranceConfig) -> Subspace
     return range_basis(_FaceSplit(list(family)), cfg)
 
 
-def _thin_factor(b: np.ndarray) -> tuple[np.ndarray, float]:
-    """(U S, ||B||_2) from the SVD of B's nonzero columns, without singular
-    values <= n eps ||B||_2: (U S)(U S)* = B B* up to rounding."""
-    u, s, _ = np.linalg.svd(b[:, b.any(axis=0)], full_matrices=False)
-    r = np.count_nonzero(s > len(b) * EPS * s.max(initial=0.0))
-    return u[:, :r] * s[:r], float(s.max(initial=0.0))
+def _thin_factor(b: np.ndarray) -> np.ndarray:
+    """D U S, U S V* the SVD of D^-1 B's nonzero columns less s <= n eps s_1, D scaling rows by
+    powers of two: (D U S)(D U S)* = B B* up to row-relative rounding, if B has no zero row."""
+    b = b[:, b.any(axis=0)]
+    d = np.ldexp(1.0, np.frexp(np.abs(b).max(axis=1))[1])[:, None]
+    u, s, _ = np.linalg.svd(b / d, full_matrices=False)
+    return d * (u * s)[:, :np.count_nonzero(s > len(b) * EPS * s[0])]
 
 
 def _certified_span(family: MatrixFamily, g: np.ndarray, cfg: ToleranceConfig) -> Subspace:
-    """range(H), with g = G = H H*, ranked at tol = rank_rel_tol on the sigma(H) scale.
-
-    If eigh(G) gives w_min > max(10 n eps, tol^2) w_max, every sigma(H)^2 lies
-    above rounding and the cutoff: rank n, G's eigenvectors, cutoff tol sqrt(w_max).
-    G certifies nothing less, as forming it squares the condition number. Else
-    range_basis reduces the face split of the members' thin factors, whose Gram
-    product is G, at max(tol sigma_1, 10 n eps prod_j ||B_j||_2): the floor keeps
-    their rounding out of an exactly zero H. Past ORACLE_COLUMN_BUDGET it refuses.
-    """
-    n = len(g)
-    w, v = np.linalg.eigh(g)
-    if n and w[0] > max(10 * n * EPS, cfg.rank_rel_tol ** 2) * w[-1]:
-        return Subspace(v[:, ::-1], cfg.rank_rel_tol * math.sqrt(w[-1]))
-    thin, norms = zip(*map(_thin_factor, family))
-    require_budget(math.prod(f.shape[1] for f in thin), ORACLE_COLUMN_BUDGET,
-                   "thin factors need prod r_j", "columns")
-    floor = _require_finite(10 * n * EPS * math.prod(norms), "prod_j ||B_j||_2")
-    return range_basis(_FaceSplit(list(thin)), cfg, floor=floor)
+    """range(H), g = G = H H*, ranked at tol = rank_rel_tol on the sigma(H) scale. H's zero
+    rows are left out. If eigh(G) on the m others has w_min > max(10 m eps, tol^2) w_max, every
+    sigma(H)^2 is above rounding and the cutoff tol sqrt(w_max): rank m. G certifies no less, as
+    it squares the condition number. Else the thin factors are face split one at a time, each
+    split reduced by _wide_factor (row-relative rounding too) and refused past
+    ORACLE_COLUMN_BUDGET columns; the last is cut at max(tol sigma_1, 10 m eps sqrt(w_max))."""
+    rows = np.flatnonzero(family._stack.any(axis=2).all(axis=0))
+    n, m, tol = family.n, len(rows), cfg.rank_rel_tol
+    if not m:
+        return Subspace(np.zeros((n, 0)), 0.0)
+    w, v = np.linalg.eigh(g if m == n else g[np.ix_(rows, rows)])
+    if w[0] > max(10 * m * EPS, tol ** 2) * w[-1]:
+        span = Subspace(v[:, ::-1], tol * np.sqrt(w[-1]))
+    else:
+        f, *rest = [_thin_factor(b[rows]) for b in family]
+        for t in rest:
+            require_budget(f.shape[1] * t.shape[1], ORACLE_COLUMN_BUDGET,
+                           "a thin face split needs r_F r_j", "columns")
+            f = _wide_factor(_FaceSplit([f, t]))
+        span = range_basis(f, cfg, floor=10 * m * EPS * np.sqrt(w[-1]))
+    return span if m == n else Subspace(np.eye(n)[:, rows] @ span.basis, span.tol_used)
 
 
 def sample_count(n: int) -> int:

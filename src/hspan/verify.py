@@ -130,8 +130,7 @@ def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
 
 
 def _complement(family: MatrixFamily, cfg: ToleranceConfig):
-    """(G, range(G), E): the Gram matrix, its range as hadamard_span
-    decides it, and the projector onto that range's orthogonal complement."""
+    """(G, range(G) as hadamard_span decides it, E = I - Q Q* onto its complement)."""
     g = gram_hadamard(family)
     span = _certified_span(family, g, cfg)
     return g, span, complement_projector(span)

@@ -96,7 +96,7 @@ def test_span_psd_uses_product_range(tmp_path):
 def test_span_rank_cutoff_is_rank_tol_times_sigma_1(tmp_path, kind):
     # sigma_1 of H, the face split of the members (a psd file's A_j): full-rank members,
     # whose G = H H* certifies rank n, and members of rank 2, whose H has rank 4 and is
-    # rank-revealed through their thin factors, far above the floor 10 n eps prod ||B_j||_2
+    # rank-revealed through their thin factors, far above the floor 10 n eps sigma_1(H)
     for deficit, rank in ((0, 6), (4, 4)):
         path = tmp_path / f"{kind}-{deficit}.json"
         argv = ("gen", 6, 2, "--kind", kind, "--rank-deficit", deficit, "--seed", 3)
@@ -152,6 +152,19 @@ def test_compare_matches_on_a_well_posed_graded_file(tmp_path):
         assert (code, err) == (0, "")
         (rep,) = reports(out)
         assert rep["span_rank"] == rep["oracle_rank"] == 26
+
+
+def test_compare_matches_when_sigma_1_lies_far_below_the_member_norms(tmp_path):
+    # each row small in one member, large in the other: sigma(H) = (1e-15, 1e-15, 0)
+    # while prod_j ||B_j||_2 = 1, so no cutoff on the members' scale may rank H
+    path = tmp_path / "disjoint.json"
+    write_instance(path, MatrixFamily([np.diag([1, 1e-15, 1]), np.diag([1e-15, 1, 0])]),
+                   "general")
+    for mode in ("basis", "random"):
+        code, out, err = run_cli("compare", path, "--mode", mode)
+        assert (code, err) == (0, "")
+        (rep,) = reports(out)
+        assert rep["span_rank"] == rep["oracle_rank"] == 2
 
 
 def test_compare_budget_exit(tmp_path):

@@ -224,15 +224,53 @@ def test_oracle_budget(monkeypatch):
         basis_product_oracle(small, CFG)
 
 
-def test_rank_decision_refuses_too_many_thin_columns():
-    # B_1's zero row gives G a zero row, so G cannot certify rank 3, and the thin
-    # factors have 2 * 3^10 columns: the decision refuses rather than rank G itself
+def test_zero_rows_of_h_are_left_out_of_the_rank_decision():
+    # B_1's zero row is a zero row of H; G on the other two rows certifies rank 2,
+    # though the thin factors of all 3 rows would need 2 * 3^10 columns
     mats = [np.array(b) for b in gaussian_family(3, 11, 6)]
     mats[0][0] = 0.0
+    fam = MatrixFamily(mats)
+    span = hadamard_span(fam, CFG)
+    assert span.rank == 2
+    assert subspace_distance(span, range_basis(np.eye(3)[:, 1:], CFG)) <= 1e-12
+    assert verify_all(fam, CFG).passed
+    # every row has a zero member row: H = 0, rank 0 with no cutoff
+    assert hadamard_span(MatrixFamily([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]), CFG).rank == 0
+
+
+def disjoint_rows_cases():
+    # sigma_1(H) of 1e-15 lies far below prod_j ||B_j||_2 of 1: each row is
+    # small in one member and large in the other, so a member's rounding,
+    # relative to its norm, would swamp H
+    yield pytest.param([np.diag([1, 1e-15, 1]), np.diag([1e-15, 1, 0])], 2, id="certified")
+    small_rows = np.array([[1e-15, 0, 0], [1e-15, 0, 0], [0, 0, 1]])
+    large_rows = np.array([[1, 0, 0], [1, 0, 0], [0, 0, 1e-15]])
+    yield pytest.param([small_rows, large_rows], 2, id="rank-deficient")
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
+    yield pytest.param([small_rows @ q, large_rows @ q], 2, id="rank-deficient-rotated")
+
+
+@pytest.mark.parametrize("mats, rank", list(disjoint_rows_cases()))
+def test_rank_decision_keeps_small_rows_of_large_members(mats, rank):
+    fam = MatrixFamily(mats)
+    span, oracle = hadamard_span(fam, CFG), basis_product_oracle(fam, CFG)
+    assert span.rank == oracle.rank == rank
+    assert subspace_distance(span, oracle) <= 1e-12
+    assert verify_all(fam, CFG).passed
+
+
+def test_rank_decision_refuses_a_face_split_over_budget(monkeypatch):
+    # members of rank 2 in C^6: H has rank 4, so G cannot certify it, and the
+    # face split of the two thin factors has 2 * 2 columns
+    rng = np.random.default_rng(8)
+    fam = MatrixFamily([complex_gaussian(rng, 6, 2) @ complex_gaussian(rng, 2, 6)
+                        for _ in range(2)])
+    assert hadamard_span(fam, CFG).rank == 4
+    monkeypatch.setattr(hspan.spans, "ORACLE_COLUMN_BUDGET", 3)
     for route in (hadamard_span, verify_all):
-        with pytest.raises(BudgetExceededError, match=r"^thin factors need prod r_j = 118098 "
-                                                      r"columns, budget is 65536$"):
-            route(MatrixFamily(mats), CFG)
+        with pytest.raises(BudgetExceededError, match=r"^a thin face split needs r_F r_j = 4 "
+                                                      r"columns, budget is 3$"):
+            route(fam, CFG)
 
 
 def test_huge_sizes_are_refused_in_one_short_message():

@@ -12,9 +12,8 @@ import hspan.subspace
 import hspan.verify as hv
 from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
                    PsdFamily, ToleranceConfig, column_identity_residual,
-                   complement_projector, family_scale, gram_hadamard,
-                   norm_trace_identity, orthogonality_check,
-                   pairing_identity_residual, range_basis,
+                   complement_projector, family_scale, norm_trace_identity,
+                   orthogonality_check, pairing_identity_residual,
                    tensor_witness, verify_all)
 from hspan.rng import (STREAM_ORTHO, STREAM_PAIRING, complex_gaussian,
                        seed_children)
@@ -433,7 +432,7 @@ def batching_cases():
 def test_batched_trials_match_per_trial_reference(fam, pairing_trials):
     # every trial recomputed alone: k matvecs, one np.vdot, one np.kron
     rep = verify_all(fam, CFG, pairing_trials=pairing_trials, orthogonality_trials=20)
-    e = complement_projector(range_basis(gram_hadamard(fam), CFG))
+    e = complement_projector(hspan.spans.hadamard_span(fam, CFG))
     t = kron_sum_tensor(fam, e)
     scale = float(np.prod([np.linalg.norm(b) for b in fam]))
 
