@@ -14,7 +14,7 @@ from .spans import (MatrixFamily, PsdFamily, basis_product_oracle,
                     gram_hadamard, hadamard_span, psd_hadamard_span, psd_sqrt,
                     random_sample_span, single_vector_sample_span)
 from .verify import (VerificationReport, column_identity_residual,
-                     family_scale, norm_trace_identity, orthogonality_check,
+                     norm_trace_identity, orthogonality_check,
                      pairing_identity_residual, tensor_witness, verify_all)
 from .instances import (SCHEMA_VERSION, generate_family, instance_dict,
                         load_instance, parse_instance, write_instance)
@@ -29,9 +29,8 @@ __all__ = [
     "MatrixFamily", "PsdFamily", "basis_product_oracle", "gram_hadamard",
     "hadamard_span", "psd_hadamard_span", "psd_sqrt", "random_sample_span",
     "single_vector_sample_span",
-    "VerificationReport", "column_identity_residual", "family_scale",
-    "norm_trace_identity", "orthogonality_check", "pairing_identity_residual",
-    "tensor_witness", "verify_all",
+    "VerificationReport", "column_identity_residual", "norm_trace_identity",
+    "orthogonality_check", "pairing_identity_residual", "tensor_witness", "verify_all",
     "SCHEMA_VERSION", "generate_family", "instance_dict", "load_instance",
     "parse_instance", "write_instance",
 ]

@@ -117,13 +117,13 @@ def _report(command: str, family, kind: str, seed: int, payload: dict, started: 
     return out
 
 
-def _run_span(family, kind, cfg, args):
+def _run_span(family, cfg, args):
     span = hadamard_span(family, cfg)
     return EXIT_OK, {"rank": span.rank, "basis": matrix_to_pairs(span.basis),
                      "rank_cutoff": span.tol_used}
 
 
-def _run_compare(family, kind, cfg, args):
+def _run_compare(family, cfg, args):
     span = hadamard_span(family, cfg)
     if args.mode == "basis":
         samples = None
@@ -144,7 +144,7 @@ def _run_compare(family, kind, cfg, args):
     return (EXIT_OK if distance <= args.tol else EXIT_MISMATCH), payload
 
 
-def _run_verify(family, kind, cfg, args):
+def _run_verify(family, cfg, args):
     report = verify_all(family, cfg, pairing_trials=args.pairing_trials,
                         orthogonality_trials=args.trials)
     return (EXIT_OK if report.passed else EXIT_MISMATCH), report.to_dict()
@@ -177,13 +177,13 @@ def _run_gen(args, seed) -> int:
 
 
 def _run_file(runner, path, args, cfg):
-    """Load one file, run `runner(family, kind, cfg, args) -> (code, payload)`
+    """Load one file, run `runner(family, cfg, args) -> (code, payload)`
     on it and serialize the report as one line of strict JSON; failures map
     to (exit code, diagnostic). The clock starts before the load."""
     try:
         started = time.perf_counter()
         family, kind = load_instance(path)
-        code, payload = runner(family, kind, cfg, args)
+        code, payload = runner(family, cfg, args)
         report = _report(args.command, family, kind, cfg.seed, payload, started)
         return code, json.dumps(report, allow_nan=False) + "\n", None
     except _FAILURES as exc:  # InstanceFormatError, and a NaN or infinity in the report

@@ -22,10 +22,10 @@ and E = I - Q Q* for the projector onto its orthogonal complement:
 Each identity is evaluated with its two sides computed through disjoint
 operation chains (the face-splitting product against the Gram matrix,
 per-column matvecs against a full multiply), so a bug in one kernel cannot
-certify itself. Residuals are normalized by scale = prod_i ||B_i||_F and the
-vector norms involved, and judged against the module tolerances below: exact
-algebraic identities at 1e-13 or 1e-12, identities that pass through a rank
-decision at 1e-7 or 1e-8.
+certify itself. Residuals are normalized by ||H||_F = sqrt(trace G), from the G
+that E comes from (the column identity by ||G||_F), and the vector norms involved,
+and judged against the module tolerances below: exact algebraic identities at 1e-13
+or 1e-12, identities that pass through a rank decision at 1e-7 or 1e-8.
 
 The random trials run side by side. The draws of t trials are n x t stacks
 X_1 .. X_k and Y; the family side forms all t members at once as
@@ -72,15 +72,6 @@ SPAN_DISTANCE_TOL = 1e-8
 TENSOR_ENTRY_BUDGET = 1_000_000
 
 
-def family_scale(family: MatrixFamily) -> float:
-    """prod_i ||B_i||_F: the family's magnitude. A family whose scale^2, the
-    norm-trace tolerance's unit, overflows is rejected."""
-    with np.errstate(over="ignore"):
-        scale = float(np.prod([np.linalg.norm(b) for b in family]))
-    _require_finite(scale * scale, "(prod_i ||B_i||_F)^2")
-    return scale
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Residuals and pass flags for every identity check on one family.
@@ -110,7 +101,7 @@ class VerificationReport:
 
 
 def column_identity_residual(family: MatrixFamily) -> float:
-    """max_i ||G e_i - (B_1 B_1* e_i) o ... o (B_k B_k* e_i)|| / max(1, ||G||_F).
+    """max_i ||G e_i - (B_1 B_1* e_i) o ... o (B_k B_k* e_i)|| / ||G||_F, 0 when G = 0.
 
     The left side reads columns out of the fully assembled G; the right side
     rebuilds each column from per-matrix matvecs on B_j* e_i = conj(B_j[i, :])
@@ -121,7 +112,7 @@ def column_identity_residual(family: MatrixFamily) -> float:
 
 def _column_identity(family: MatrixFamily, g: np.ndarray) -> float:
     with np.errstate(over="ignore"):
-        denom = max(1.0, _require_finite(float(np.linalg.norm(g)), "||G||_F"))
+        denom = _require_finite(float(np.linalg.norm(g)), "||G||_F") or 1.0
     worst = 0.0
     for i in range(family.n):
         col = reduce(np.multiply, (b @ b[i].conj() for b in family))
@@ -134,6 +125,13 @@ def _complement(family: MatrixFamily, cfg: ToleranceConfig):
     g = gram_hadamard(family)
     span = _certified_span(family, g, cfg)
     return g, span, complement_projector(span)
+
+
+def _scale(g: np.ndarray) -> float:
+    """||H||_F = sqrt(trace G), the unit of every residual but the column identity's; 1
+    when H = 0, where all are exactly 0. Refused when trace G, ||T||^2's bound, overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(_require_finite(np.trace(g).real, "trace(G)"))) or 1.0
 
 
 def _tensor_from(family: MatrixFamily, e: np.ndarray) -> np.ndarray:
@@ -200,20 +198,22 @@ def norm_trace_identity(family: MatrixFamily, cfg: ToleranceConfig) -> tuple[flo
 
 def _family_pairing(family, xs, y, e, scale) -> tuple[np.ndarray, np.ndarray]:
     """Per column: (<(B_1 x_1) o ... o (B_k x_k), E y>, scale * prod ||x_j|| * ||y||),
-    computed in C^n without the tensor witness."""
+    computed in C^n without the tensor witness. A zero normalizer means a zero x_j or y,
+    whose pairings are exactly 0 on both sides; it is returned as 1."""
     lhs = np.einsum("it,it->t", _members(family, xs), np.conj(e @ y))
-    return lhs, scale * np.prod(np.linalg.norm(xs, axis=1), axis=0) * np.linalg.norm(y, axis=0)
+    norm = scale * np.prod(np.linalg.norm(xs, axis=1), axis=0) * np.linalg.norm(y, axis=0)
+    return lhs, np.where(norm == 0.0, 1.0, norm)
 
 
 def _pairing_residual(family, xs, y, e, paired, scale) -> np.ndarray:
     """Per column: the family side's distance from `paired`, the tensor side."""
     lhs, norm = _family_pairing(family, xs, y, e, scale)
-    return np.abs(lhs - paired) / np.maximum(1.0, norm)
+    return np.abs(lhs - paired) / norm
 
 
 def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig) -> float:
     """|<(B_1 x_1) o ... o (B_k x_k), E y> - <x_1 (x)...(x) x_k (x) conj(y), T>|,
-    normalized by max(1, scale * prod ||x_j|| * ||y||).
+    normalized by ||H||_F * prod ||x_j|| * ||y||.
 
     The left side works in C^n (entrywise products, one projector matvec);
     the right side pairs x_1 (x) ... (x) x_k in C^(n^k) with T y, T viewed
@@ -231,13 +231,13 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
     if y.shape != (family.n,):
         raise DimensionError(f"y has shape {y.shape}, expected ({family.n},)")
     _require_tensor_budget(family)
-    e = _complement(family, cfg)[2]
-    scale = family_scale(family)
+    g, _, e = _complement(family, cfg)
+    scale = _scale(g)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = scale * np.prod([np.linalg.norm(x) for x in xs]) * np.linalg.norm(y)
     if not np.isfinite(norm):
         raise ValueError("slot vectors or y too large: "
-                         "prod_i ||B_i||_F * prod_j ||x_j|| * ||y|| overflows")
+                         "||H||_F * prod_j ||x_j|| * ||y|| overflows")
     xs, y = np.stack(xs)[..., None], y[:, None]
     paired = _tensor_sides(family, e, xs, y)[1]
     return float(_pairing_residual(family, xs, y, e, paired, scale)[0])
@@ -246,9 +246,7 @@ def pairing_identity_residual(family: MatrixFamily, xs, y, cfg: ToleranceConfig)
 def _orthogonality_residuals(family, trials, cfg, e, scale) -> list[float]:
     *xs, y = _draw_stack(cfg.seed, STREAM_ORTHO, family.k + 1, family.n, trials)
     lhs, norm = _family_pairing(family, xs, y, e, scale)
-    out = np.abs(lhs) / np.where(norm == 0.0, 1.0, norm)
-    out[(norm == 0.0) & (lhs != 0.0)] = np.inf
-    return out.tolist()
+    return (np.abs(lhs) / norm).tolist()
 
 
 def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig) -> list[float]:
@@ -260,8 +258,8 @@ def orthogonality_check(family: MatrixFamily, trials: int, cfg: ToleranceConfig)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {int_text(trials)}")
     _require_draw_budget((family.k + 1) * family.n, trials)
-    e = _complement(family, cfg)[2]
-    return _orthogonality_residuals(family, trials, cfg, e, family_scale(family))
+    g, _, e = _complement(family, cfg)
+    return _orthogonality_residuals(family, trials, cfg, e, _scale(g))
 
 
 def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
@@ -283,7 +281,7 @@ def verify_all(family: MatrixFamily, cfg: ToleranceConfig, *,
         _require_draw_budget((k + 1) * n + n ** k, pairing_trials)
     g, span, e = _complement(family, cfg)  # rejects entries whose G overflows
     product_span = psd_hadamard_span(family, cfg) if isinstance(family, PsdFamily) else None
-    scale = family_scale(family)
+    scale = _scale(g)
 
     checks: dict[str, bool] = {}
     skipped: list[str] = []

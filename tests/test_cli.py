@@ -242,14 +242,14 @@ def test_overflowing_gram_exits_two_without_warnings(tmp_path):
 
 
 def test_overflowing_verification_scale_exits_two(tmp_path):
-    # G = diag(1e308, 1e308) is finite, but (prod_i ||B_i||_F)^2 is not
+    # G = diag(1e308, 1e308) is finite, but trace(G) = ||H||_F^2 is not
     path = tmp_path / "scale.json"
     write_instance(path, MatrixFamily([np.diag([1e154, 1.0]), np.diag([1.0, 1e154])]), "general")
     code, out, err = run_cli("verify", path)
     assert code == 2
     assert out == ""
     assert err == (f"hspan verify: {path}: matrix entries too large: "
-                   "(prod_i ||B_i||_F)^2 overflows\n")
+                   "trace(G) overflows\n")
 
 
 @pytest.mark.parametrize("mode, product", [
@@ -414,10 +414,10 @@ def test_memory_error_keeps_other_reports(tmp_path, monkeypatch, capsys, jobs):
     write_instance(bad, MatrixFamily([np.eye(4)]), "general")
     real_run_span = cli._run_span
 
-    def run_span(family, kind, cfg, args):
+    def run_span(family, cfg, args):
         if family.n == 4:
             raise MemoryError()
-        return real_run_span(family, kind, cfg, args)
+        return real_run_span(family, cfg, args)
 
     monkeypatch.setattr(cli, "_run_span", run_span)
     code = cli.main(["span", str(good), str(bad), "--jobs", str(jobs)])

@@ -11,8 +11,8 @@ import hspan.spans
 import hspan.subspace
 import hspan.verify as hv
 from hspan import (BudgetExceededError, DimensionError, MatrixFamily,
-                   PsdFamily, ToleranceConfig, column_identity_residual,
-                   complement_projector, family_scale, norm_trace_identity,
+                   PsdFamily, Subspace, ToleranceConfig, column_identity_residual,
+                   complement_projector, norm_trace_identity,
                    orthogonality_check, pairing_identity_residual,
                    tensor_witness, verify_all)
 from hspan.rng import (STREAM_ORTHO, STREAM_PAIRING, complex_gaussian,
@@ -31,9 +31,24 @@ def deficient_family(n, k, seed):
     return MatrixFamily(mats)
 
 
-def test_family_scale():
-    fam = MatrixFamily([2.0 * np.eye(2), np.eye(2)])
-    assert family_scale(fam) == pytest.approx(2.0 * np.sqrt(2) * np.sqrt(2))
+def h_norm(fam):
+    """The residuals' scale, ||H||_F, as verify reads it from G."""
+    return hv._scale(hv.gram_hadamard(fam))
+
+
+def test_scale_is_the_frobenius_norm_of_h():
+    rng = np.random.default_rng(105)
+    m1, m2 = complex_gaussian(rng, 5, 2), complex_gaussian(rng, 5, 4)
+    for fam in (MatrixFamily([2.0 * np.eye(2), np.eye(2)]), deficient_family(6, 3, 106),
+                MatrixFamily([complex_gaussian(rng, 5, 5) for _ in range(2)]),
+                PsdFamily([m1 @ m1.conj().T, m2 @ m2.conj().T]),
+                MatrixFamily([np.diag([1.0, 1e-15, 1.0]), np.diag([1e-15, 1.0, 0.0])])):
+        h = families.face_split(list(fam))
+        assert h_norm(fam) == pytest.approx(np.linalg.norm(h), rel=1e-14)
+    # H = 0: every residual is exactly 0, and the scale is 1
+    for fam in (MatrixFamily([np.zeros((3, 3))] * 2), MatrixFamily([np.diag([1.0, 0.0]),
+                                                                   np.diag([0.0, 1.0])])):
+        assert h_norm(fam) == 1.0
 
 
 def test_column_identity_exact_on_diagonal():
@@ -76,10 +91,10 @@ def test_tensor_witness_vanishes_on_random_families():
     rng = np.random.default_rng(2)
     for _ in range(5):
         fam = MatrixFamily([complex_gaussian(rng, 5, 5) for _ in range(2)])
-        assert np.linalg.norm(tensor_witness(fam, CFG)) <= 1e-7 * family_scale(fam)
+        assert np.linalg.norm(tensor_witness(fam, CFG)) <= 1e-7 * h_norm(fam)
     # rank-deficient range makes the complement projector nontrivial
     fam = deficient_family(6, 1, 3)
-    assert np.linalg.norm(tensor_witness(fam, CFG)) <= 1e-7 * family_scale(fam)
+    assert np.linalg.norm(tensor_witness(fam, CFG)) <= 1e-7 * h_norm(fam)
 
 
 def test_tensor_witness_budget(monkeypatch):
@@ -148,10 +163,10 @@ def test_pairing_identity_with_hermitian_non_projector(fam, m):
     for i in range(3):
         xi, yi = [x[:, i] for x in xs], y[:, i]
         expected = np.vdot(t, reduce(np.kron, xi + [np.conj(yi)]))
-        assert abs(expected) >= 1e-3 * family_scale(fam) * np.prod(
+        assert abs(expected) >= 1e-3 * h_norm(fam) * np.prod(
             [np.linalg.norm(x) for x in xi]) * np.linalg.norm(yi)
         assert abs(paired[i] - expected) <= 1e-12 * abs(expected)
-    assert max(hv._pairing_residual(fam, xs, y, e, paired, family_scale(fam))) <= hv.PAIRING_TOL
+    assert max(hv._pairing_residual(fam, xs, y, e, paired, h_norm(fam))) <= hv.PAIRING_TOL
 
 
 @pytest.mark.parametrize("block", [None, 4, 23], ids=["default-block", "block-4", "block-23"])
@@ -210,7 +225,7 @@ def test_norm_trace_identity_agrees():
     for seed in range(5):
         fam = deficient_family(6, 2, 50 + seed)
         tn, tr = norm_trace_identity(fam, CFG)
-        s2 = family_scale(fam) ** 2
+        s2 = h_norm(fam) ** 2
         assert abs(tn - tr.real) <= 1e-8 * s2
         assert abs(tr.imag) <= 1e-10 * s2
         assert tn <= 1e-8 * s2
@@ -259,7 +274,7 @@ def test_pairing_identity_refuses_overflowing_vectors():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^slot vectors or y too large: "
-                                             r"prod_i \|\|B_i\|\|_F \* prod_j \|\|x_j\|\| "
+                                             r"\|\|H\|\|_F \* prod_j \|\|x_j\|\| "
                                              r"\* \|\|y\|\| overflows$"):
             pairing_identity_residual(fam, [x, x], np.ones(3), CFG)
 
@@ -393,7 +408,7 @@ def test_verify_all_agrees_with_identity_functions(fam):
     # every public function reads a PsdFamily as the general family of its members, bit for bit
     general = MatrixFamily(list(fam))
     vecs = complex_gaussian(np.random.default_rng(95), fam.k + 1, fam.n)
-    calls = [family_scale, column_identity_residual, lambda f: orthogonality_check(f, 50, CFG)]
+    calls = [h_norm, column_identity_residual, lambda f: orthogonality_check(f, 50, CFG)]
     with_tensor = fam.n ** (fam.k + 1) <= hv.TENSOR_ENTRY_BUDGET
     if with_tensor:
         calls += [lambda f: tensor_witness(f, CFG), lambda f: norm_trace_identity(f, CFG),
@@ -413,7 +428,7 @@ def test_verify_all_agrees_with_identity_functions(fam):
     *xs, y = np.array(draws).transpose(1, 2, 0)
     _, _, e = hv._complement(fam, CFG)
     paired = hv._tensor_sides(fam, e, xs, y)[1]
-    expected = hv._pairing_residual(fam, xs, y, e, paired, family_scale(fam))
+    expected = hv._pairing_residual(fam, xs, y, e, paired, h_norm(fam))
     assert list(rep.pairing_residuals) == expected.tolist()
 
 
@@ -434,7 +449,7 @@ def test_batched_trials_match_per_trial_reference(fam, pairing_trials):
     rep = verify_all(fam, CFG, pairing_trials=pairing_trials, orthogonality_trials=20)
     e = complement_projector(hspan.spans.hadamard_span(fam, CFG))
     t = kron_sum_tensor(fam, e)
-    scale = float(np.prod([np.linalg.norm(b) for b in fam]))
+    scale = np.linalg.norm(families.face_split(list(fam)))
 
     def trials(stream, count):
         rng = np.random.default_rng(seed_children(CFG.seed, stream, 1)[0])
@@ -445,7 +460,7 @@ def test_batched_trials_match_per_trial_reference(fam, pairing_trials):
             norm = scale * float(np.prod([np.linalg.norm(x) for x in xs])) * np.linalg.norm(y)
             yield xs, y, complex(np.vdot(e @ y, h)), norm
 
-    pairing = [abs(lhs - np.vdot(t, reduce(np.kron, xs + [np.conj(y)]))) / max(1.0, norm)
+    pairing = [abs(lhs - np.vdot(t, reduce(np.kron, xs + [np.conj(y)]))) / norm
                for xs, y, lhs, norm in trials(STREAM_PAIRING, pairing_trials)]
     ortho = [abs(lhs) / norm for _, _, lhs, norm in trials(STREAM_ORTHO, 20)]
     assert len(rep.pairing_residuals) == len(pairing) == pairing_trials
@@ -461,14 +476,34 @@ def test_batched_trials_match_per_trial_reference(fam, pairing_trials):
 
 
 def test_verify_all_rejects_overflowing_scales():
-    # G = diag(1e308, 1e308) is finite, but (prod ||B_i||_F)^2 is not, and
+    # G = diag(1e308, 1e308) is finite, but trace(G) = ||H||_F^2 is not, and
     # ||G||_F overflows for diag(1e77, 1) twice
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"\(prod_i \|\|B_i\|\|_F\)\^2 overflows"):
+        with pytest.raises(ValueError, match=r"trace\(G\) overflows"):
             verify_all(MatrixFamily([np.diag([1e154, 1.0]), np.diag([1.0, 1e154])]), CFG)
         with pytest.raises(ValueError, match=r"\|\|G\|\|_F overflows"):
             verify_all(MatrixFamily([np.diag([1e77, 1.0])] * 2), CFG)
+
+
+def dropped_direction_cases():
+    # sigma(H) = (1e-15, 1e-15) on e_1, e_2 while prod_i ||B_i||_F = 2
+    disjoint = MatrixFamily([np.diag([1.0, 1e-15, 1.0]), np.diag([1e-15, 1.0, 0.0])])
+    for rank in (0, 1):
+        yield pytest.param(disjoint, np.eye(3)[:, :rank], id=f"disjoint-rows-rank-{rank}")
+    rng = np.random.default_rng(104)
+    dense = MatrixFamily([complex_gaussian(rng, 6, 6) for _ in range(2)])
+    weakest_dropped = np.linalg.eigh(hv.gram_hadamard(dense))[1][:, 1:]
+    yield pytest.param(dense, weakest_dropped, id="dense-6x2-rank-5")
+
+
+@pytest.mark.parametrize("fam, basis", list(dropped_direction_cases()))
+def test_verify_all_fails_a_span_that_drops_a_direction(monkeypatch, fam, basis):
+    # a wrong span must fail on the scale of H however small H is against its factors
+    monkeypatch.setattr(hv, "_certified_span", lambda family, g, cfg: Subspace(basis))
+    rep = verify_all(fam, CFG)
+    assert not rep.checks["norm_trace"] and not rep.checks["orthogonality"]
+    assert not rep.passed
 
 
 def test_trial_draws_refused_before_seeding(monkeypatch):
